@@ -12,6 +12,7 @@ Exit codes, stable across releases:
   5  forbidden graph admits no witness family (TNF or single vertex)
   6  internal invariant failure (a verified certificate went bad)
   7  construction parameters violate their invariants
+  8  the output could not be written (--out)
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EXIT_CAPACITY = 4
 EXIT_INFEASIBLE = 5
 EXIT_INTERNAL = 6
 EXIT_PARAMETER = 7
+EXIT_IO = 8
 
 _KIND_NAMES = [k.value for k in TnfKind]
 
@@ -283,8 +285,11 @@ def main(argv=None) -> int:
     except (ParameterError, ValidationError) as e:
         return _fail(EXIT_PARAMETER, e)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as e:
+            return _fail(EXIT_IO, e)
     else:
         print(out)
     return 0

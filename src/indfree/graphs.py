@@ -7,6 +7,10 @@ freely between workers and used as dict keys.
 
 The order cap of 64 keeps every neighborhood operation a single machine
 word worth of bits; all the sweeps this package runs stay far below it.
+
+Row tuples are built from lists, not generators: CPython 3.11 sizes a
+tuple(<generator>) by resizing, which leaves one block per call on the
+free list for the final size, so repeated calls grow memory.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class Graph:
         return self.rows[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(r.bit_count() for r in self.rows)
+        return tuple([r.bit_count() for r in self.rows])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -83,7 +87,7 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def complement(g: Graph) -> Graph:
     """Flip every off-diagonal adjacency bit."""
     full = (1 << g.order) - 1
-    return Graph(g.order, tuple((full & ~r) & ~(1 << v) for v, r in enumerate(g.rows)))
+    return Graph(g.order, tuple([(full & ~r) & ~(1 << v) for v, r in enumerate(g.rows)]))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -91,7 +95,7 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     n = a.order + b.order
     if n > MAX_ORDER:
         raise CapacityError(f"union order {n} exceeds the cap of {MAX_ORDER} vertices")
-    shifted = tuple(r << a.order for r in b.rows)
+    shifted = tuple([r << a.order for r in b.rows])
     return Graph(n, a.rows + shifted)
 
 
@@ -102,7 +106,7 @@ def join(a: Graph, b: Graph) -> Graph:
         raise CapacityError(f"join order {n} exceeds the cap of {MAX_ORDER} vertices")
     bmask = ((1 << b.order) - 1) << a.order
     amask = (1 << a.order) - 1
-    rows = tuple(r | bmask for r in a.rows) + tuple((r << a.order) | amask for r in b.rows)
+    rows = tuple([r | bmask for r in a.rows] + [(r << a.order) | amask for r in b.rows])
     return Graph(n, rows)
 
 

@@ -8,7 +8,11 @@ canonical_form searches vertex orderings that respect a stable coloring
 and keeps the lexicographically least adjacency code. The coloring is
 iterated neighbor-color refinement, which on its own does not decide
 isomorphism; the ordering search closes the gap, so the result is exact.
-Orders in this package stay at or below roughly 14, where this is quick.
+The package canonicalizes patterns and enumerated graphs of at most 8
+vertices. contains_induced runs on witness hosts of up to 64 vertices;
+both searches skip twin vertices, which keeps them fast on the H- and
+Q-shaped hosts the constructions build. Both stay exponential in the
+worst case, for example on large regular hosts with no twins.
 """
 
 from __future__ import annotations
@@ -52,6 +56,26 @@ def wl_colors(g: Graph) -> tuple[int, ...]:
         colors = new
 
 
+def _twin_masks(rows: tuple[int, ...]) -> list[int]:
+    """For each vertex, the mask of its twins, itself included.
+
+    Vertices u and v are twins when their open neighborhoods are equal
+    (rows[u] == rows[v]) or their closed ones are. Swapping two twins is
+    an automorphism fixing every other vertex, so when a search has tried
+    u at a slot and found nothing, v at that slot finds nothing either.
+    One dict holds both kinds of key: an open row never equals a closed
+    one, since N(u) = N[w] would put u in its own neighborhood.
+    """
+    cls: dict[int, int] = {}
+    get = cls.get
+    for v, r in enumerate(rows):
+        bit = 1 << v
+        cls[r] = get(r, 0) | bit
+        r |= bit
+        cls[r] = get(r, 0) | bit
+    return [cls[r] | cls[r | 1 << v] for v, r in enumerate(rows)]
+
+
 _INF = 1 << 70
 
 
@@ -70,46 +94,12 @@ def canonical_form(g: Graph) -> Graph:
     if n <= 1:
         return g
     colors = wl_colors(g)
-    ncells = max(colors) + 1
-    cells: list[list[int]] = [[] for _ in range(ncells)]
+    cells = [0] * (max(colors) + 1)
     for v, c in enumerate(colors):
-        cells[c].append(v)
-    slots: list[list[int]] = []
-    for cell in cells:
-        slots.extend([cell] * len(cell))
-
-    rows = g.rows
+        cells[c] |= 1 << v
+    slots = [cells[c] for c in sorted(colors)]
     best = [_INF] * n
-    placed: list[int] = []
-
-    def descend(i: int, used: int) -> None:
-        if i == n:
-            return
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
-        for v in slots[i]:
-            if used >> v & 1:
-                continue
-            ro = rows[v]
-            rc = ro | (1 << v)
-            if ro in seen_open or rc in seen_closed:
-                continue
-            seen_open.add(ro)
-            seen_closed.add(rc)
-            code = 0
-            for u in placed:
-                code = code << 1 | (ro >> u & 1)
-            if code > best[i]:
-                continue
-            if code < best[i]:
-                best[i] = code
-                for j in range(i + 1, n):
-                    best[j] = _INF
-            placed.append(v)
-            descend(i + 1, used | (1 << v))
-            placed.pop()
-
-    descend(0, 0)
+    _least_code(0, 0, slots, g.rows, _twin_masks(g.rows), best, [])
 
     out = [0] * n
     for i in range(n):
@@ -119,6 +109,39 @@ def canonical_form(g: Graph) -> Graph:
                 out[i] |= 1 << j
                 out[j] |= 1 << i
     return Graph(n, tuple(out))
+
+
+def _least_code(
+    i: int,
+    used: int,
+    slots: list[int],
+    rows: tuple[int, ...],
+    twins: list[int],
+    best: list[int],
+    placed: list[int],
+) -> None:
+    """Lower best[i:] to the least codes reachable from the placed prefix."""
+    n = len(best)
+    if i == n:
+        return
+    cand = slots[i] & ~used
+    while cand:
+        lsb = cand & -cand
+        v = lsb.bit_length() - 1
+        cand &= ~twins[v]
+        ro = rows[v]
+        code = 0
+        for u in placed:
+            code = code << 1 | (ro >> u & 1)
+        if code > best[i]:
+            continue
+        if code < best[i]:
+            best[i] = code
+            for j in range(i + 1, n):
+                best[j] = _INF
+        placed.append(v)
+        _least_code(i + 1, used | lsb, slots, rows, twins, best, placed)
+        placed.pop()
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -132,50 +155,79 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     """Find an induced copy of pattern in host, or report there is none.
 
-    Backtracking over pattern vertices in descending degree order. The
-    candidate set for each slot is kept as a bitmask and narrowed by one
-    row operation per already-placed vertex: intersect with the placed
-    vertex's neighborhood when the pattern demands an edge, with its
-    non-neighborhood otherwise. Induced means non-edges constrain too.
+    Backtracking over pattern vertices in descending degree order, trying
+    host candidates in increasing label order. Every later slot keeps its
+    candidate set as a bitmask. Placing a vertex narrows each later set
+    with one AND: against the placed vertex's neighborhood when the
+    pattern demands an edge, against its non-neighborhood otherwise
+    (induced means non-edges constrain too), and the placed vertex drops
+    out. Two prunings keep misses on large hosts cheap:
+
+    * forward checking: a placement that empties a later set is undone
+      at once, instead of when the search reaches that slot;
+    * twin pruning: a candidate that is a twin of one already tried at
+      the same slot is skipped, since swapping the two is a host
+      automorphism fixing every placed vertex.
+
+    Both cut only subtrees without a solution, so the returned embedding
+    is the first one in the unpruned search order.
     """
     np_, nh = pattern.order, host.order
     if np_ > nh:
         return None
     if np_ == 0:
         return Embedding(())
-    porder = sorted(range(np_), key=lambda v: -pattern.rows[v].bit_count())
     prows = pattern.rows
-    hrows = host.rows
-    pdeg = pattern.degrees()
-    hdeg = host.degrees()
-    full = (1 << nh) - 1
+    porder = sorted(range(np_), key=lambda v: -prows[v].bit_count())
+    edge = [[prows[pv] >> pu & 1 for pu in porder] for pv in porder]
+    # dom[i][k]: candidates for slot k once slots 0..i-1 are placed
+    dom = [[(1 << nh) - 1] * np_ for _ in range(np_)]
     assign = [0] * np_
-
-    def place(i: int, used: int) -> bool:
-        if i == np_:
-            return True
-        pv = porder[i]
-        cand = full & ~used
-        for j in range(i):
-            if prows[pv] >> porder[j] & 1:
-                cand &= hrows[assign[j]]
-            else:
-                cand &= ~hrows[assign[j]]
-        need = pdeg[pv]
-        while cand:
-            lsb = cand & -cand
-            cand ^= lsb
-            hv = lsb.bit_length() - 1
-            if hdeg[hv] < need:
-                continue
-            assign[i] = hv
-            if place(i + 1, used | lsb):
-                return True
-        return False
-
-    if not place(0, 0):
+    if not _extend(0, dom, edge, host.rows, [], assign):
         return None
     out = [0] * np_
     for i, pv in enumerate(porder):
         out[pv] = assign[i]
     return Embedding(tuple(out))
+
+
+def _extend(
+    i: int,
+    dom: list[list[int]],
+    edge: list[list[int]],
+    hrows: tuple[int, ...],
+    twins: list[int],
+    assign: list[int],
+) -> bool:
+    """Fill slots i.. of assign from the candidate sets dom[i]; True on success.
+
+    twins starts empty and gets the host's twin masks at the first failed
+    candidate: a search that never backtracks does not pay for them.
+    """
+    n = len(assign)
+    cur = dom[i]
+    cand = cur[i]
+    if i + 1 == n:
+        # nonempty: forward checking undoes any placement that empties it
+        assign[i] = (cand & -cand).bit_length() - 1
+        return True
+    nxt = dom[i + 1]
+    adj = edge[i]
+    while cand:
+        lsb = cand & -cand
+        hv = lsb.bit_length() - 1
+        row = hrows[hv]
+        non = ~(row | lsb)
+        for k in range(i + 1, n):
+            m = cur[k] & (row if adj[k] else non)
+            if not m:
+                break
+            nxt[k] = m
+        else:
+            assign[i] = hv
+            if _extend(i + 1, dom, edge, hrows, twins, assign):
+                return True
+        if not twins:
+            twins += _twin_masks(hrows)
+        cand &= ~twins[hv]
+    return False

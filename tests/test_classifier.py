@@ -212,6 +212,24 @@ def test_witness_with_n_below_pattern_order(paw):
     assert cert.graph.order == 2 and cert.graph.edge_count == 1
 
 
+@pytest.mark.parametrize(
+    "p, q, r, m",
+    [
+        (4, 0, 1, 504), (4, 0, 1, 1512),
+        (4, 1, 1, 504), (4, 1, 1, 1512),
+        (5, 1, 1, 504), (5, 1, 1, 1512),
+        (5, 3, 1, 504), (5, 3, 1, 1512),
+        (5, 2, 0, 504),
+    ],
+)
+def test_witness_verify_at_order_64(p, q, r, m):
+    # hosts of 64 vertices made of large twin classes: the embedding
+    # search must prune twins to finish a miss quickly
+    cert = witness(h_graph(HParams(p, q, r)), 64, m, verify=True)
+    assert cert.verified
+    assert (cert.graph.order, cert.graph.edge_count) == (64, m)
+
+
 def test_dispatch_covers_all_nontnf_h_shapes():
     # every canonical non-TNF H-graph lands in exactly one dispatch family
     for p in range(0, 7):

@@ -121,6 +121,23 @@ def test_witness_out_file(capsys, tmp_path):
     check_schema("witness", data)
 
 
+def test_witness_out_unwritable_exit(capsys, tmp_path):
+    target = tmp_path / "missing" / "wit.txt"
+    code, out, err = run(capsys, "witness", "claw", "8", "13", "--out", str(target))
+    assert code == 8
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_witness_order_64_graph6(capsys):
+    code, out, _ = run(capsys, "witness", "claw", "64", "10", "--json")
+    assert code == 0
+    data = json.loads(out)
+    g = decode_graph6(data["graph6"])
+    assert (g.order, g.edge_count) == (64, 10)
+
+
 # pairs
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from indfree import (
     CapacityError,
+    Graph,
     ParseError,
     complete_graph,
     decode_graph6,
@@ -45,9 +46,40 @@ def test_round_trip_order_62_boundary():
     assert decode_graph6(encode_graph6(g)) == g
 
 
-def test_encode_rejects_order_63():
+def test_round_trip_long_form_orders_63_and_64():
+    for n, head in ((63, "~??~"), (64, "~?@?")):
+        g = make_graph(n, [e for e in combinations(range(n), 2) if RNG.random() < 0.3])
+        text = encode_graph6(g)
+        assert text[:4] == head
+        assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+        assert decode_graph6(text) == g
+    assert decode_graph6("~??~" + "?" * 326) == empty_graph(63)
+
+
+def test_encode_rejects_order_65():
     with pytest.raises(CapacityError):
-        encode_graph6(make_graph(63, []))
+        encode_graph6(Graph(65, (0,) * 65))
+
+
+def test_decode_rejects_long_form_below_63():
+    # order 62 fits the one-byte header, so its long form is not canonical
+    short = encode_graph6(empty_graph(62))
+    with pytest.raises(ParseError) as err:
+        decode_graph6("~??}" + short[1:])
+    assert err.value.offset == 0
+
+
+def test_decode_rejects_long_form_above_64():
+    with pytest.raises(CapacityError):
+        decode_graph6("~?@A" + "?" * 347)
+    with pytest.raises(CapacityError):
+        decode_graph6("~~???????")
+
+
+def test_decode_rejects_bad_long_form_order_byte():
+    with pytest.raises(ParseError) as err:
+        decode_graph6("~?" + chr(10) + "~" + "?" * 326)
+    assert err.value.offset == 2
 
 
 def test_decode_rejects_empty():

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -136,3 +137,17 @@ def test_regular_nonisomorphic_pair():
     assert not is_isomorphic(k33, prism)
     assert contains_induced(k33, complete_graph(3)) is None
     assert contains_induced(prism, complete_graph(3)) is not None
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the search state must be freed on return, not left to the cyclic GC
+    host = random_graph(12)
+    gc.collect()
+    gc.disable()
+    try:
+        for pattern in (complete_graph(4), path_graph(4), cycle_graph(5)):
+            contains_induced(host, pattern)
+            canonical_form(disjoint_union(host, pattern))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
