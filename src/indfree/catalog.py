@@ -44,36 +44,45 @@ _PARAMETRIC = {
 
 
 def _parse_named(text: str) -> Graph | None:
-    low = text.strip().lower()
-    if low in _FIXED:
-        return _FIXED[low]()
-    head, sep, tail = low.partition(":")
-    if not sep or head not in _PARAMETRIC:
+    spec = text.strip()
+    fixed = _FIXED.get(spec.lower())
+    if fixed:
+        return fixed()
+    head, sep, tail = spec.partition(":")
+    name = head.lower()
+    if not sep or name not in _PARAMETRIC:
         return None
-    arity, build = _PARAMETRIC[head]
+    arity, build = _PARAMETRIC[name]
+    # offsets count from the start of text, leading blanks included
+    offset = len(text) - len(text.lstrip()) + len(head) + 1
     parts = tail.split(",")
     if len(parts) != arity:
-        raise ParseError(
-            f"{head!r} takes {arity} parameter(s), got {len(parts)}", len(head) + 1
-        )
+        raise ParseError(f"{name!r} takes {arity} parameter(s), got {len(parts)}", offset)
     args = []
     for part in parts:
-        if not part.strip().lstrip("-").isdigit():
-            raise ParseError(f"bad integer {part!r} in {text!r}", text.find(part))
+        if not _is_digits(part.strip().removeprefix("-")):
+            raise ParseError(f"bad integer {part!r} in {text!r}", offset)
         args.append(int(part))
+        offset += len(part) + 1
     return build(*args)
+
+
+def _is_digits(s: str) -> bool:
+    # ASCII only: int() rejects some Unicode digits ('²') and accepts
+    # others ('٤'), which would also put offsets off the byte count
+    return s.isascii() and s.isdigit()
 
 
 def parse_edge_list(text: str) -> Graph:
     head, _, tail = text.partition(";")
-    if not head.strip().isdigit():
+    if not _is_digits(head.strip()):
         raise ParseError(f"edge list needs a leading vertex count, got {head!r}", 0)
     n = int(head)
     edges = []
     offset = len(head) + 1
     for token in tail.split(",") if tail.strip() else []:
         u, sep, v = token.partition("-")
-        if not sep or not u.strip().isdigit() or not v.strip().isdigit():
+        if not sep or not _is_digits(u.strip()) or not _is_digits(v.strip()):
             raise ParseError(f"bad edge token {token.strip()!r}", offset)
         edges.append((int(u), int(v)))
         offset += len(token) + 1

@@ -60,6 +60,15 @@ def _reps(n: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _reps_by_edges(n: int) -> tuple[tuple[Graph, ...], ...]:
+    """_reps(n) split by edge count, each bucket in _reps order."""
+    buckets: list[list[Graph]] = [[] for _ in range(n * (n - 1) // 2 + 1)]
+    for g in _reps(n):
+        buckets[g.edge_count].append(g)
+    return tuple([tuple(b) for b in buckets])
+
+
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     """Yield one representative per isomorphism class on n vertices.
 
@@ -121,18 +130,20 @@ class PairTable:
 
 @lru_cache(maxsize=None)
 def feasible_pairs(family: FamilySpec, n: int) -> PairTable:
-    """Exact feasibility table by exhaustive scan of all classes on n vertices."""
+    """Exact feasibility table by exhaustive scan of all classes on n vertices.
+
+    Each edge count's classes are tried in _reps order up to the first
+    one that avoids every forbidden graph.
+    """
     if n < 0:
         raise RangeError(f"vertex count must be non-negative, got {n}")
     if n > ENUMERATION_CAP:
         raise CapacityError(f"exact tables cap at n = {ENUMERATION_CAP}")
-    feasible = [False] * (n * (n - 1) // 2 + 1)
     pats = [g for g in family.forbidden if g.order <= n]
-    for g in _reps(n):
-        if feasible[g.edge_count]:
-            continue
-        if all(contains_induced(g, pat) is None for pat in pats):
-            feasible[g.edge_count] = True
+    feasible = [
+        any(all(contains_induced(g, pat) is None for pat in pats) for g in hosts)
+        for hosts in _reps_by_edges(n)
+    ]
     return PairTable(n, tuple(feasible))
 
 

@@ -10,9 +10,12 @@ iterated neighbor-color refinement, which on its own does not decide
 isomorphism; the ordering search closes the gap, so the result is exact.
 The package canonicalizes patterns and enumerated graphs of at most 8
 vertices. contains_induced runs on witness hosts of up to 64 vertices;
-both searches skip twin vertices, which keeps them fast on the H- and
-Q-shaped hosts the constructions build. Both stay exponential in the
-worst case, for example on large regular hosts with no twins.
+both searches skip twin vertices, and contains_induced also skips whole
+twin classes that a host automorphism exchanges. The H- and Q-shaped
+hosts the constructions build, and their complements, are cographs made
+of a few such classes, so a miss on them stays near-linear in the order.
+Both searches stay exponential in the worst case, for example on large
+regular hosts with no twins.
 """
 
 from __future__ import annotations
@@ -74,6 +77,35 @@ def _twin_masks(rows: tuple[int, ...]) -> list[int]:
         r |= bit
         cls[r] = get(r, 0) | bit
     return [cls[r] | cls[r | 1 << v] for v, r in enumerate(rows)]
+
+
+def _partner_blocks(rows: tuple[int, ...], twins: list[int]) -> dict[int, int]:
+    """Map each block of two or more vertices to its partners' union.
+
+    Call the twin classes blocks. A block is a module, and either a
+    clique or an independent set. Two blocks A and B of the same size and
+    kind with the same neighbours outside A | B are open or closed twins
+    in the quotient graph by blocks, so exchanging them, fixing every
+    other vertex, is an automorphism. The keys are _twin_masks' one level
+    up: a block's row outside itself (open) or that row plus the block
+    (closed), tagged with size and kind; an open key never equals a
+    closed one, for the same reason as there. Blocks sharing a key are
+    partners; the union is 0 for a block without any. A single vertex
+    has no partner, since a partner would be its twin.
+    """
+    cls: dict[int, int] = {}
+    get = cls.get
+    keys: dict[int, int] = {}
+    for b in set(twins):
+        if b & (b - 1):
+            row = rows[(b & -b).bit_length() - 1]
+            # size (at most 64) and kind fill the low 8 bits
+            key = (row & ~b) << 8 | b.bit_count() << 1 | (row & b != 0)
+            keys[b] = key
+            cls[key] = get(key, 0) | b
+            key |= b << 8
+            cls[key] = get(key, 0) | b
+    return {b: (cls[key] | cls[key | b << 8]) & ~b for b, key in keys.items()}
 
 
 _INF = 1 << 70
@@ -161,16 +193,28 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     with one AND: against the placed vertex's neighborhood when the
     pattern demands an edge, against its non-neighborhood otherwise
     (induced means non-edges constrain too), and the placed vertex drops
-    out. Two prunings keep misses on large hosts cheap:
+    out. Three prunings keep misses on large hosts cheap:
 
     * forward checking: a placement that empties a later set is undone
       at once, instead of when the search reaches that slot;
     * twin pruning: a candidate that is a twin of one already tried at
       the same slot is skipped, since swapping the two is a host
-      automorphism fixing every placed vertex.
+      automorphism fixing every placed vertex;
+    * block-swap pruning: when a candidate fails, so does every vertex
+      of the twin classes (blocks) that can be exchanged whole with its
+      own (see _partner_blocks). If neither block holds a placed vertex,
+      the exchange fixes every placed vertex. If one does, it is joined
+      to its own block as that block's kind says and to the other block
+      the opposite way (else the two would be one block), so forward
+      checking has already removed the other block from the slot.
 
-    Both cut only subtrees without a solution, so the returned embedding
-    is the first one in the unpruned search order.
+    The K3K2 witness hosts delete many disjoint edges and triangles from
+    a clique. Each deleted edge or triangle is a block, all of them
+    exchangeable, and without the third pruning a miss tried the pattern
+    on each of them in turn, at every slot.
+
+    All three cut only subtrees without a solution, so the returned
+    embedding is the first one in the unpruned search order.
     """
     np_, nh = pattern.order, host.order
     if np_ > nh:
@@ -183,7 +227,7 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     # dom[i][k]: candidates for slot k once slots 0..i-1 are placed
     dom = [[(1 << nh) - 1] * np_ for _ in range(np_)]
     assign = [0] * np_
-    if not _extend(0, dom, edge, host.rows, [], assign):
+    if not _extend(0, dom, edge, host.rows, [], {}, assign):
         return None
     out = [0] * np_
     for i, pv in enumerate(porder):
@@ -197,12 +241,17 @@ def _extend(
     edge: list[list[int]],
     hrows: tuple[int, ...],
     twins: list[int],
+    partners: dict[int, int],
     assign: list[int],
 ) -> bool:
     """Fill slots i.. of assign from the candidate sets dom[i]; True on success.
 
     twins starts empty and gets the host's twin masks at the first failed
     candidate: a search that never backtracks does not pay for them.
+    partners starts empty too and gets _partner_blocks the first time one
+    slot, with candidates left, has seen two failed blocks of the same
+    size, the least a swap of whole blocks needs to cut anything.
+    Building it at the first failure made small hosts slower.
     """
     n = len(assign)
     cur = dom[i]
@@ -213,6 +262,7 @@ def _extend(
         return True
     nxt = dom[i + 1]
     adj = edge[i]
+    sizes = 0
     while cand:
         lsb = cand & -cand
         hv = lsb.bit_length() - 1
@@ -225,9 +275,18 @@ def _extend(
             nxt[k] = m
         else:
             assign[i] = hv
-            if _extend(i + 1, dom, edge, hrows, twins, assign):
+            if _extend(i + 1, dom, edge, hrows, twins, partners, assign):
                 return True
         if not twins:
             twins += _twin_masks(hrows)
-        cand &= ~twins[hv]
+        block = twins[hv]
+        cand &= ~block
+        if partners:
+            cand &= ~partners.get(block, 0)
+        elif cand and block & (block - 1):
+            size = 1 << block.bit_count()
+            if sizes & size:
+                partners.update(_partner_blocks(hrows, twins))
+                cand &= ~partners[block]
+            sizes |= size
     return False

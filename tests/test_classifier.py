@@ -219,12 +219,14 @@ def test_witness_with_n_below_pattern_order(paw):
         (4, 1, 1, 504), (4, 1, 1, 1512),
         (5, 1, 1, 504), (5, 1, 1, 1512),
         (5, 3, 1, 504), (5, 3, 1, 1512),
-        (5, 2, 0, 504),
+        (5, 2, 0, 504), (5, 2, 0, 1512),
+        (6, 2, 1, 1920),
     ],
 )
 def test_witness_verify_at_order_64(p, q, r, m):
-    # hosts of 64 vertices made of large twin classes: the embedding
-    # search must prune twins to finish a miss quickly
+    # hosts of 64 vertices made of large twin classes, many of them
+    # swappable whole: the embedding search must prune twins and whole
+    # blocks to finish a miss quickly
     cert = witness(h_graph(HParams(p, q, r)), 64, m, verify=True)
     assert cert.verified
     assert (cert.graph.order, cert.graph.edge_count) == (64, m)

@@ -72,6 +72,25 @@ def test_classify_parse_error_exit(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "spec, token, offset",
+    [
+        ("H:4,X,1", "'X'", 4),
+        ("  path:a", "'a'", 7),
+        ("H:--4,1,1", "'--4'", 2),
+        ("path:²", "'²'", 5),
+        ("H:٤,1,1", "'٤'", 2),
+        ("3;0-²", "'0-²'", 2),
+    ],
+)
+def test_classify_parse_error_offset(capsys, spec, token, offset):
+    # offsets count in the text as typed, and the token is quoted as typed
+    code, _, err = run(capsys, "classify", spec)
+    assert code == 2
+    assert token in err
+    assert err.rstrip().endswith(f"(at byte {offset})")
+
+
 # witness
 
 
@@ -128,6 +147,15 @@ def test_witness_out_unwritable_exit(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ")
     assert not target.exists()
+
+
+def test_witness_verify_order_64_k3k2(capsys):
+    # the host deletes many disjoint edges from a clique, which only
+    # block-swap pruning exchanges whole: the verifying miss must still
+    # finish quickly
+    code, out, _ = run(capsys, "witness", "H:6,2,1", "64", "1920", "--verify")
+    assert code == 0
+    assert decode_graph6(out.splitlines()[0]).edge_count == 1920
 
 
 def test_witness_order_64_graph6(capsys):

@@ -20,7 +20,8 @@ from indfree import (
     uep_witness,
     witness,
 )
-from oracles import apply_perm
+from indfree.iso import _partner_blocks, _twin_masks
+from oracles import apply_perm, brute_contains_induced
 
 
 @st.composite
@@ -29,6 +30,42 @@ def graphs(draw, min_order=0, max_order=8):
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1)) if pairs else 0
     return make_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@st.composite
+def block_blowups(draw, max_order=24):
+    """Hosts whose twin classes can be swapped whole.
+
+    A random quotient graph has every vertex replaced by a clique or an
+    independent set of 1-3 vertices, then the host is relabelled at
+    random. Quotient vertices come in groups of 1-3 open or closed twins
+    sharing block size and kind, so swappable blocks are common; hosts
+    beyond max_order vertices lose their last vertices.
+    """
+    base = draw(graphs(min_order=1, max_order=4))
+    n = base.order
+    size = [draw(st.integers(1, 3)) for _ in range(n)]
+    copies = [draw(st.integers(1, 3)) for _ in range(n)]
+    clique = [draw(st.booleans()) for _ in range(n)]
+    closed = [draw(st.booleans()) for _ in range(n)]
+    quotient = [v for v in range(n) for _ in range(copies[v])]
+    verts = [(q, v) for q, v in enumerate(quotient) for _ in range(size[v])][:max_order]
+
+    def adjacent(x, y):
+        (qx, a), (qy, b) = x, y
+        if qx == qy:
+            return clique[a]
+        return closed[a] if a == b else base.has_edge(a, b)
+
+    perm = draw(st.permutations(range(len(verts))))
+    return make_graph(
+        len(verts),
+        [
+            (perm[x], perm[y])
+            for x, y in combinations(range(len(verts)), 2)
+            if adjacent(verts[x], verts[y])
+        ],
+    )
 
 
 @st.composite
@@ -85,6 +122,40 @@ def test_embedding_satisfies_induced_condition(host, pattern):
     assert len(set(emb.map)) == pattern.order
     for i, j in combinations(range(pattern.order), 2):
         assert pattern.has_edge(i, j) == host.has_edge(emb.map[i], emb.map[j])
+
+
+@given(block_blowups(max_order=12), graphs(min_order=3, max_order=4))
+@settings(max_examples=200, deadline=None)
+def test_contains_induced_on_block_hosts_matches_brute_force(host, pattern):
+    emb = contains_induced(host, pattern)
+    assert (emb is not None) == brute_contains_induced(host, pattern)
+    if emb is not None:
+        assert len(set(emb.map)) == pattern.order
+        for i, j in combinations(range(pattern.order), 2):
+            assert pattern.has_edge(i, j) == host.has_edge(emb.map[i], emb.map[j])
+
+
+def members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+@given(block_blowups())
+def test_partner_blocks_swap_is_automorphism(g):
+    twins = _twin_masks(g.rows)
+    partners = _partner_blocks(g.rows, twins)
+    for v in range(g.order):
+        own = members(twins[v])
+        for w in members(partners.get(twins[v], 0)):
+            other = members(twins[w])
+            assert len(other) == len(own) and not set(other) & set(own)
+            # exchange the two blocks vertex by vertex, fixing the rest
+            perm = list(range(g.order))
+            for x, y in zip(own, other):
+                perm[x], perm[y] = y, x
+            assert apply_perm(g, perm) == g
+            # adjacency inside a block differs from adjacency across
+            # partners, or the two would be one block
+            assert g.has_edge(own[0], own[1]) != g.has_edge(own[0], other[0])
 
 
 @given(graphs(min_order=1, max_order=7), graphs(min_order=1, max_order=4))
