@@ -53,24 +53,32 @@ def _parse_named(text: str) -> Graph | None:
     if not sep or name not in _PARAMETRIC:
         return None
     arity, build = _PARAMETRIC[name]
-    # offsets count from the start of text, leading blanks included
-    offset = len(text) - len(text.lstrip()) + len(head) + 1
+    pos = len(text) - len(text.lstrip()) + len(head) + 1
     parts = tail.split(",")
     if len(parts) != arity:
-        raise ParseError(f"{name!r} takes {arity} parameter(s), got {len(parts)}", offset)
+        raise ParseError(
+            f"{name!r} takes {arity} parameter(s), got {len(parts)}", _byte_offset(text, pos)
+        )
     args = []
     for part in parts:
         if not _is_digits(part.strip().removeprefix("-")):
-            raise ParseError(f"bad integer {part!r} in {text!r}", offset)
+            raise ParseError(f"bad integer {part!r} in {text!r}", _byte_offset(text, pos))
         args.append(int(part))
-        offset += len(part) + 1
+        pos += len(part) + 1
     return build(*args)
 
 
 def _is_digits(s: str) -> bool:
     # ASCII only: int() rejects some Unicode digits ('²') and accepts
-    # others ('٤'), which would also put offsets off the byte count
+    # others ('٤')
     return s.isascii() and s.isdigit()
+
+
+def _byte_offset(text: str, pos: int) -> int:
+    # ParseError offsets count bytes of the text as typed, leading blanks
+    # included; command-line bytes that are not UTF-8 arrive as
+    # surrogate escapes, one per byte
+    return len(text[:pos].encode("utf-8", "surrogateescape"))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -79,13 +87,13 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"edge list needs a leading vertex count, got {head!r}", 0)
     n = int(head)
     edges = []
-    offset = len(head) + 1
+    pos = len(head) + 1
     for token in tail.split(",") if tail.strip() else []:
         u, sep, v = token.partition("-")
         if not sep or not _is_digits(u.strip()) or not _is_digits(v.strip()):
-            raise ParseError(f"bad edge token {token.strip()!r}", offset)
+            raise ParseError(f"bad edge token {token.strip()!r}", _byte_offset(text, pos))
         edges.append((int(u), int(v)))
-        offset += len(token) + 1
+        pos += len(token) + 1
     return make_graph(n, edges)
 
 
@@ -101,5 +109,5 @@ def parse_graph(text: str) -> Graph:
     except ParseError as e:
         raise ParseError(
             f"{text!r} is not a catalog name, an edge list, or graph6 ({e.message})",
-            e.offset,
+            _byte_offset(text, len(text) - len(text.lstrip())) + e.offset,
         )

@@ -13,9 +13,11 @@ vertices. contains_induced runs on witness hosts of up to 64 vertices;
 both searches skip twin vertices, and contains_induced also skips whole
 twin classes that a host automorphism exchanges. The H- and Q-shaped
 hosts the constructions build, and their complements, are cographs made
-of a few such classes, so a miss on them stays near-linear in the order.
-Both searches stay exponential in the worst case, for example on large
-regular hosts with no twins.
+of a few such classes, so on them one failed candidate rules out a
+whole group of exchangeable classes at a slot. No bound is proved: the
+README gives measured verify times on these hosts. Both searches stay
+exponential in the worst case, for example on large regular hosts with
+no twins.
 """
 
 from __future__ import annotations

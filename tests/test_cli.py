@@ -81,10 +81,15 @@ def test_classify_parse_error_exit(capsys):
         ("path:²", "'²'", 5),
         ("H:٤,1,1", "'٤'", 2),
         ("3;0-²", "'0-²'", 2),
+        ("\u00a0H:4,X,1", "'X'", 6),
+        ("H:4,\u00a01,X", "'X'", 8),
+        ("3;0-1,\u00a01-2,1-x", "'1-x'", 12),
+        ("  A!", "'!'", 3),
     ],
 )
 def test_classify_parse_error_offset(capsys, spec, token, offset):
-    # offsets count in the text as typed, and the token is quoted as typed
+    # offsets count UTF-8 bytes of the text as typed, leading blanks
+    # included, and the token is quoted as typed
     code, _, err = run(capsys, "classify", spec)
     assert code == 2
     assert token in err

@@ -1,8 +1,10 @@
 """contains_induced and is_isomorphic against networkx's VF2 matcher.
 
-Skipped when networkx is not installed. Hosts are drawn both uniformly
-and as blow-ups whose twin classes can be swapped whole (see
-block_blowups), the structure the twin and block-swap prunings act on.
+Skipped when networkx is not installed. Hosts are drawn uniformly, as
+blow-ups of a small base graph, where every base vertex becomes a class
+of open or closed twins, the structure the twin pruning acts on, and as
+blow-ups whose twin classes can be swapped whole (see block_blowups),
+the structure the block-swap pruning acts on.
 """
 
 from itertools import combinations
@@ -18,6 +20,20 @@ nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
 
+@st.composite
+def twin_blowups(draw):
+    base = draw(graphs(min_order=1, max_order=5))
+    sizes = [draw(st.integers(1, 4)) for _ in range(base.order)]
+    cliques = [draw(st.booleans()) for _ in range(base.order)]
+    owner = [v for v, k in enumerate(sizes) for _ in range(k)]
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(owner)), 2)
+        if (base.has_edge(owner[a], owner[b]) if owner[a] != owner[b] else cliques[owner[a]])
+    ]
+    return make_graph(len(owner), edges)
+
+
 def to_nx(g: Graph):
     out = nx.Graph()
     out.add_nodes_from(range(g.order))
@@ -26,7 +42,10 @@ def to_nx(g: Graph):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(graphs(max_order=10), block_blowups()), graphs(min_order=1, max_order=5))
+@given(
+    st.one_of(graphs(max_order=10), twin_blowups(), block_blowups()),
+    graphs(min_order=1, max_order=5),
+)
 def test_contains_induced_agrees_with_vf2(host, pattern):
     emb = contains_induced(host, pattern)
     expected = GraphMatcher(to_nx(host), to_nx(pattern)).subgraph_is_isomorphic()
@@ -39,8 +58,8 @@ def test_contains_induced_agrees_with_vf2(host, pattern):
 
 @settings(max_examples=200, deadline=None)
 # canonical_form prunes single twins only: on larger blow-ups whose
-# blocks swap whole its search grows factorially
-@given(st.one_of(graphs(), block_blowups(max_order=12)), st.data())
+# blocks swap whole its search grows factorially, so the block blow-ups stay at 12 vertices
+@given(st.one_of(graphs(), twin_blowups(), block_blowups(max_order=12)), st.data())
 def test_is_isomorphic_agrees_with_vf2(a, data):
     if data.draw(st.booleans()):
         perm = data.draw(st.permutations(range(a.order)))
