@@ -4,7 +4,10 @@
 Each row of output covers one vertex count: a strip with one character
 per edge count ('#' feasible, '.' infeasible), plus the least and
 greatest infeasible counts when a gap exists. The scan is exhaustive
-over isomorphism classes, so n is capped at 8.
+over isomorphism classes, so n is capped at 8. The range is checked
+before any table is computed, and every failure exits with the exit
+code the indfree command gives it (2 unparseable spec, 3 bad range,
+4 over the cap, 8 CSV or stdout not written) and no traceback.
 
 Example, the family that pins a gap around the middle of the range:
 
@@ -14,39 +17,65 @@ Example, the family that pins a gap around the middle of the range:
 import argparse
 import sys
 
-from indfree import FamilySpec, RangeError, feasible_pairs, parse_graph
+from indfree import (
+    ENUMERATION_CAP,
+    CapacityError,
+    FamilySpec,
+    IndfreeError,
+    RangeError,
+    feasible_pairs,
+    parse_graph,
+    table_to_csv,
+)
+from indfree.cli import fail
 
 
 def strip(table):
     return "".join("#" if ok else "." for ok in table.feasible)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Exact feasibility tables for a forbidden family."
+        description="Exact feasibility tables for a forbidden family. "
+        "Errors exit with the codes of the indfree command."
     )
     parser.add_argument(
         "specs", nargs="+",
         help="forbidden graphs: catalog names, edge lists, or graph6",
     )
     parser.add_argument("--n-min", type=int, default=4, help="first vertex count")
-    parser.add_argument("--n-max", type=int, default=8, help="last vertex count (cap 8)")
+    parser.add_argument(
+        "--n-max", type=int, default=8,
+        help=f"last vertex count (cap {ENUMERATION_CAP})",
+    )
     parser.add_argument(
         "--csv", metavar="FILE",
         help="also write all rows as n,m,feasible CSV",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        tabulate(args)
+        # a closed stdout shows here, not in the flush at exit
+        sys.stdout.flush()
+    except (IndfreeError, OSError) as e:
+        return fail(e)
+    return 0
 
+
+def tabulate(args):
+    if args.n_min < 0:
+        raise RangeError(f"vertex counts must be non-negative, got {args.n_min}")
     if args.n_min > args.n_max:
-        raise RangeError("empty order range")
+        raise RangeError(f"empty order range {args.n_min}..{args.n_max}")
+    if args.n_max > ENUMERATION_CAP:
+        raise CapacityError(f"exact tables cap at n = {ENUMERATION_CAP}, got {args.n_max}")
     family = FamilySpec([parse_graph(s) for s in args.specs])
     print("forbidden:", ", ".join(args.specs))
 
-    rows = ["n,m,feasible"]
+    tables = []
     for n in range(args.n_min, args.n_max + 1):
         table = feasible_pairs(family, n)
-        for m, ok in enumerate(table.feasible):
-            rows.append(f"{n},{m},{str(ok).lower()}")
+        tables.append(table)
         if table.f is None:
             gap = "no infeasible m"
         else:
@@ -54,9 +83,11 @@ def main():
         print(f"n={n:<2} [{strip(table)}]  {gap}")
 
     if args.csv:
+        # one header, then every table's rows
+        parts = [table_to_csv(t).partition("\n") for t in tables]
         with open(args.csv, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-        print(f"wrote {len(rows) - 1} rows to {args.csv}")
+            fh.write(parts[0][0] + "\n" + "".join(body for _, _, body in parts))
+        print(f"wrote {sum(len(t.feasible) for t in tables)} rows to {args.csv}")
 
 
 if __name__ == "__main__":

@@ -12,13 +12,15 @@ Exit codes, stable across releases:
   5  forbidden graph admits no witness family (TNF or single vertex)
   6  internal invariant failure (a verified certificate went bad)
   7  construction parameters violate their invariants
-  8  the output could not be written (--out)
+  8  the output could not be written: --out failed, or stdout was
+     closed before the output was written (as by `| head`)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import parse_edge_list, parse_graph
@@ -34,6 +36,7 @@ from .enumeration import FamilySpec, feasible_pairs, table_to_csv
 from .errors import (
     CapacityError,
     DegenerateForbiddenError,
+    IndfreeError,
     InfeasibleFamilyError,
     InternalInvariantError,
     ParameterError,
@@ -272,32 +275,47 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out = args.func(args)
-    except ParseError as e:
-        return _fail(EXIT_PARSE, e)
-    except RangeError as e:
-        return _fail(EXIT_RANGE, e)
-    except CapacityError as e:
-        return _fail(EXIT_CAPACITY, e)
-    except (InfeasibleFamilyError, DegenerateForbiddenError) as e:
-        return _fail(EXIT_INFEASIBLE, e)
-    except InternalInvariantError as e:
-        return _fail(EXIT_INTERNAL, e)
-    except (ParameterError, ValidationError) as e:
-        return _fail(EXIT_PARAMETER, e)
-    if args.out:
-        try:
+    except IndfreeError as e:
+        return fail(e)
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(out + "\n")
-        except OSError as e:
-            return _fail(EXIT_IO, e)
-    else:
-        print(out)
+        else:
+            print(out, flush=True)
+    except OSError as e:
+        return fail(e)
     return 0
 
 
-def _fail(code: int, err: Exception) -> int:
+EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    RangeError: EXIT_RANGE,
+    CapacityError: EXIT_CAPACITY,
+    InfeasibleFamilyError: EXIT_INFEASIBLE,
+    DegenerateForbiddenError: EXIT_INFEASIBLE,
+    InternalInvariantError: EXIT_INTERNAL,
+    ParameterError: EXIT_PARAMETER,
+    ValidationError: EXIT_PARAMETER,
+    OSError: EXIT_IO,
+}
+
+
+def fail(err: Exception) -> int:
+    """Report err on stderr and return its exit code from EXIT_CODES.
+
+    err must be an instance of one of EXIT_CODES' classes: an
+    IndfreeError, or an OSError from writing the output. A
+    BrokenPipeError means stdout's reader is gone, so stdout is pointed
+    at devnull, and the interpreter's own flush at exit does not fail
+    a second time.
+    """
+    if isinstance(err, BrokenPipeError):
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     print(f"error: {err}", file=sys.stderr)
-    return code
+    return next(EXIT_CODES[c] for c in type(err).__mro__ if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

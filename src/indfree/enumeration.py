@@ -5,6 +5,15 @@ promise: it enumerates all graphs on up to 8 vertices one isomorphism
 class at a time, then marks which edge counts admit a member avoiding
 every forbidden pattern. Representatives are canonical forms, so two
 runs (or two workers splitting the stream) always agree.
+
+The classes come in a fixed order. For n <= 6 they are sorted by their
+labeled adjacency code (bit i for the i-th vertex pair in lexicographic
+order). For n >= 7 they come in order of first discovery: the classes
+on n - 1 vertices in their own order, each extended by one vertex with
+every neighbourhood mask in ascending order. The order is kept on
+purpose: feasible_pairs stops at the first feasible class of each edge
+count, so another order gives the same tables but may scan more hosts
+before it finds one.
 """
 
 from __future__ import annotations
@@ -16,48 +25,65 @@ from typing import Iterator
 
 from .errors import CapacityError, RangeError, ValidationError
 from .graphs import Graph
-from .iso import canonical_form, contains_induced, wl_colors
+from .iso import _automorphisms, canonical_form, contains_induced
 
 ENUMERATION_CAP = 8
 
 
 @lru_cache(maxsize=None)
 def _reps(n: int) -> tuple[Graph, ...]:
+    """The canonical class representatives on n vertices, in class order.
+
+    Every order is built from the one below: each representative P on
+    n - 1 vertices gets one new vertex with every neighbourhood mask in
+    ascending order, and each child's canonical form is kept the first
+    time it appears. For n <= 6 the classes are then sorted by
+    _scan_code, the order of the module docstring; for n >= 7 the order
+    of first discovery is the class order.
+
+    A mask is skipped unless it is the least of its orbit under Aut(P),
+    which the bytearray met marks as each orbit is first met. Some
+    automorphism maps the orbit's least mask, met earlier, onto the
+    skipped one, and that automorphism, fixing the new vertex, is an
+    isomorphism between the two children, so the skipped child's class
+    is already kept and neither the set nor the order changes.
+    """
     if n == 0:
         return (Graph(0, ()),)
-    if n <= 6:
-        # full labeled scan, keeping self-canonical graphs only; a canonical
-        # graph lists its refinement cells in ascending contiguous blocks,
-        # so unsorted colorings are rejected before the expensive search
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        out = []
-        for code in range(1 << len(pairs)):
-            rows = [0] * n
-            for i, (u, v) in enumerate(pairs):
-                if code >> i & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-            g = Graph(n, tuple(rows))
-            colors = wl_colors(g)
-            if any(colors[i] > colors[i + 1] for i in range(n - 1)):
-                continue
-            if canonical_form(g) == g:
-                out.append(g)
-        return tuple(out)
-    # extend each (n-1)-vertex representative by one vertex with every
-    # possible neighborhood, deduplicating by canonical form
     seen: set[Graph] = set()
     out = []
     for parent in _reps(n - 1):
         prows = parent.rows
+        auts = _automorphisms(parent)
+        met = bytearray(1 << (n - 1))
         for mask in range(1 << (n - 1)):
+            if met[mask]:
+                continue
+            members = [v for v in range(n - 1) if mask >> v & 1]
+            for perm in auts:
+                s = 0
+                for v in members:
+                    s |= 1 << perm[v]
+                met[s] = 1
             rows = [prows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
             rows.append(mask)
             c = canonical_form(Graph(n, tuple(rows)))
             if c not in seen:
                 seen.add(c)
                 out.append(c)
+    if n <= 6:
+        out.sort(key=_scan_code)
     return tuple(out)
+
+
+def _scan_code(g: Graph) -> int:
+    """Labeled adjacency code: bit i set for the i-th pair (u, v), u < v,
+    in lexicographic order."""
+    code = shift = 0
+    for u, r in enumerate(g.rows):
+        code |= r >> (u + 1) << shift
+        shift += g.order - 1 - u
+    return code
 
 
 @lru_cache(maxsize=None)

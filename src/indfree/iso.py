@@ -44,21 +44,76 @@ def wl_colors(g: Graph) -> tuple[int, ...]:
     Starts from degrees and repeatedly splits classes by the multiset of
     neighbor colors until no class splits. Colors are ranks 0..c-1 in a
     label-independent order, so isomorphic graphs get matching colorings.
+
+    The multiset is kept as one count per color cell, negated, in color
+    order: v's key is (colors[v], (-|N(v) & cell| for each cell)). That
+    ranks vertices exactly as the sorted tuple of neighbor colors would.
+    Colors only ever refine the degree partition, so two keys with the
+    same first component belong to vertices of equal degree, and their
+    sorted neighbor-color tuples have equal length. Two such tuples first
+    differ at the least color c whose count differs, and the one with
+    more c's is the smaller, as its negated count is.
     """
-    n = g.order
+    rows = g.rows
     colors = list(g.degrees())
     rank = {c: i for i, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
-    while True:
+    ncolors = len(rank)
+    # a coloring with one vertex per color cannot split further
+    while ncolors < g.order:
+        cells = [0] * ncolors
+        for v, c in enumerate(colors):
+            cells[c] |= 1 << v
         keys = [
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
-            for v in range(n)
+            (c, tuple([-(r & cell).bit_count() for cell in cells]))
+            for c, r in zip(colors, rows)
         ]
         krank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [krank[k] for k in keys]
-        if len(krank) == len(set(colors)):
-            return tuple(new)
-        colors = new
+        colors = [krank[k] for k in keys]
+        if len(krank) == ncolors:
+            break
+        ncolors = len(krank)
+    return tuple(colors)
+
+
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, each as perm with perm[v] the image of v.
+
+    Maps vertices 0, 1, ... in turn, each to an unused vertex of its own
+    wl_colors cell whose adjacency to the images so far matches its own.
+    """
+    colors = wl_colors(g)
+    cells = [0] * (max(colors, default=0) + 1)
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    out: list[tuple[int, ...]] = []
+    _map_from(0, 0, g.rows, [cells[c] for c in colors], [], out)
+    return out
+
+
+def _map_from(
+    v: int,
+    used: int,
+    rows: tuple[int, ...],
+    cell_of: list[int],
+    perm: list[int],
+    out: list[tuple[int, ...]],
+) -> None:
+    """Append to out every automorphism extending the map perm of 0..v-1."""
+    if v == len(rows):
+        out.append(tuple(perm))
+        return
+    r = rows[v]
+    cand = cell_of[v] & ~used
+    while cand:
+        lsb = cand & -cand
+        cand ^= lsb
+        w = lsb.bit_length() - 1
+        rw = rows[w]
+        if all(r >> u & 1 == rw >> x & 1 for u, x in enumerate(perm)):
+            perm.append(w)
+            _map_from(v + 1, used | lsb, rows, cell_of, perm, out)
+            perm.pop()
 
 
 def _twin_masks(rows: tuple[int, ...]) -> list[int]:

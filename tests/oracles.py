@@ -12,6 +12,25 @@ from itertools import combinations, permutations
 from indfree import Graph
 
 
+def reference_wl_colors(g: Graph) -> tuple[int, ...]:
+    """Reference for wl_colors: the same refinement, read directly, with
+    each vertex's neighbor colors gathered and sorted as a tuple."""
+    n = g.order
+    colors = list(g.degrees())
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [rank[c] for c in colors]
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+            for v in range(n)
+        ]
+        krank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [krank[k] for k in keys]
+        if len(krank) == len(set(colors)):
+            return tuple(new)
+        colors = new
+
+
 def apply_perm(g: Graph, perm) -> Graph:
     """New graph whose vertex i is g's vertex perm[i]."""
     n = g.order
@@ -26,6 +45,11 @@ def apply_perm(g: Graph, perm) -> Graph:
             m ^= lsb
             rows[i] |= 1 << inv[lsb.bit_length() - 1]
     return Graph(n, tuple(rows))
+
+
+def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """Every permutation that apply_perm maps onto g itself."""
+    return {p for p in permutations(range(g.order)) if apply_perm(g, p) == g}
 
 
 def brute_is_isomorphic(a: Graph, b: Graph) -> bool:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,10 +7,18 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from indfree import complete_graph, decode_graph6, is_isomorphic, parse_graph, uep_witness
-from indfree.cli import main
+from indfree import (
+    IndfreeError,
+    complete_graph,
+    decode_graph6,
+    is_isomorphic,
+    parse_graph,
+    uep_witness,
+)
+from indfree.cli import EXIT_CODES, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -321,3 +330,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "Feasible" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "indfree", "pairs", "paw", "-n", "6", "--json"],
+        [str(SCRIPTS_DIR / "feasible_pair_tables.py"), "paw", "--n-max", "5"],
+    ],
+    ids=["cli", "tables-script"],
+)
+def test_closed_stdout_exits_8_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 8
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+def test_every_package_error_has_an_exit_code():
+    pending = list(IndfreeError.__subclasses__())
+    assert pending
+    while pending:
+        cls = pending.pop()
+        assert any(base in EXIT_CODES for base in cls.__mro__), cls
+        pending += cls.__subclasses__()

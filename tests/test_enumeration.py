@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -14,6 +15,7 @@ from indfree import (
     complement,
     complete_graph,
     empty_graph,
+    encode_graph6,
     enumerate_nonisomorphic,
     extremal_stats,
     feasible_pairs,
@@ -28,6 +30,15 @@ from oracles import orbit_class_count, orbit_size_total
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
+# sha256 of the graph6 codes of the classes, one per line, in enumeration
+# order; feasible_pairs stops at the first feasible class of each edge
+# count, so the order is part of what makes the tables fast
+CLASS_SEQUENCE_SHA256 = {
+    6: "15d9b311909b44e3609f3168467390215f2773bf6429dd9a8ea0e99a2658fbc4",
+    7: "9fa223f771825bc1690e648cb963f31ddd5c6a33b710a83c5a4702072f7e16e1",
+    8: "d36458132489c3eaad0cdc822c977e6ce341c9e7e7e38de26f9868105beba6aa",
+}
+
 
 def binom2(n):
     return n * (n - 1) // 2
@@ -36,6 +47,12 @@ def binom2(n):
 def test_class_counts_up_to_eight():
     for n, want in EXPECTED_COUNTS.items():
         assert sum(1 for _ in enumerate_nonisomorphic(n)) == want
+
+
+def test_class_sequence_is_pinned():
+    for n, want in CLASS_SEQUENCE_SHA256.items():
+        text = "\n".join(encode_graph6(g) for g in enumerate_nonisomorphic(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, n
 
 
 def test_counts_confirmed_by_orbit_brute_force():

@@ -13,6 +13,7 @@ from indfree import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    enumerate_nonisomorphic,
     h_graph,
     HParams,
     is_isomorphic,
@@ -20,7 +21,13 @@ from indfree import (
     path_graph,
     star_graph,
 )
-from oracles import apply_perm, brute_contains_induced, brute_is_isomorphic
+from indfree.iso import _automorphisms
+from oracles import (
+    apply_perm,
+    brute_automorphisms,
+    brute_contains_induced,
+    brute_is_isomorphic,
+)
 
 RNG = random.Random(20240901)
 
@@ -36,6 +43,18 @@ def test_canonical_invariant_under_relabeling():
         perm = list(range(n))
         RNG.shuffle(perm)
         assert canonical_form(g) == canonical_form(apply_perm(g, tuple(perm)))
+
+
+def test_automorphisms_match_brute_force():
+    # every class on at most 6 vertices, as enumerated and relabelled
+    for n in range(7):
+        for g in enumerate_nonisomorphic(n):
+            perm = list(range(n))
+            RNG.shuffle(perm)
+            for h in (g, apply_perm(g, tuple(perm))):
+                auts = _automorphisms(h)
+                assert len(set(auts)) == len(auts)
+                assert set(auts) == brute_automorphisms(h), h
 
 
 def test_canonical_idempotent():

@@ -14,24 +14,10 @@ import pytest
 from hypothesis import given, settings
 
 from indfree import Graph, contains_induced, is_isomorphic, make_graph
-from test_properties import block_blowups, graphs
+from test_properties import block_blowups, graphs, twin_blowups
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
-
-
-@st.composite
-def twin_blowups(draw):
-    base = draw(graphs(min_order=1, max_order=5))
-    sizes = [draw(st.integers(1, 4)) for _ in range(base.order)]
-    cliques = [draw(st.booleans()) for _ in range(base.order)]
-    owner = [v for v, k in enumerate(sizes) for _ in range(k)]
-    edges = [
-        (a, b)
-        for a, b in combinations(range(len(owner)), 2)
-        if (base.has_edge(owner[a], owner[b]) if owner[a] != owner[b] else cliques[owner[a]])
-    ]
-    return make_graph(len(owner), edges)
 
 
 def to_nx(g: Graph):

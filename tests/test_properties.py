@@ -19,9 +19,10 @@ from indfree import (
     star_graph,
     uep_witness,
     witness,
+    wl_colors,
 )
 from indfree.iso import _partner_blocks, _twin_masks
-from oracles import apply_perm, brute_contains_induced
+from oracles import apply_perm, brute_contains_induced, reference_wl_colors
 
 
 @st.composite
@@ -30,6 +31,22 @@ def graphs(draw, min_order=0, max_order=8):
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1)) if pairs else 0
     return make_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@st.composite
+def twin_blowups(draw):
+    """Hosts whose every base vertex becomes a class of 1-4 twins, all
+    adjacent (closed twins) or none (open twins)."""
+    base = draw(graphs(min_order=1, max_order=5))
+    sizes = [draw(st.integers(1, 4)) for _ in range(base.order)]
+    cliques = [draw(st.booleans()) for _ in range(base.order)]
+    owner = [v for v, k in enumerate(sizes) for _ in range(k)]
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(owner)), 2)
+        if (base.has_edge(owner[a], owner[b]) if owner[a] != owner[b] else cliques[owner[a]])
+    ]
+    return make_graph(len(owner), edges)
 
 
 @st.composite
@@ -80,6 +97,12 @@ def pair_requests(draw, max_n=10):
     n = draw(st.integers(0, max_n))
     m = draw(st.integers(0, n * (n - 1) // 2))
     return n, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(max_order=13), twin_blowups(), block_blowups()))
+def test_wl_colors_matches_reference(g):
+    assert wl_colors(g) == reference_wl_colors(g)
 
 
 @given(graphs())

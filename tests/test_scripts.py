@@ -1,0 +1,52 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from indfree import FamilySpec, feasible_pairs, parse_graph, table_to_csv
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture(scope="module")
+def tables_script():
+    spec = importlib.util.spec_from_file_location(
+        "feasible_pair_tables", SCRIPTS / "feasible_pair_tables.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["paw", "--n-max", "9"], 4),
+        (["paw", "--n-min", "5", "--n-max", "4"], 3),
+        (["paw", "--n-min", "-1", "--n-max", "3"], 3),
+        (["H:x"], 2),
+    ],
+)
+def test_tables_script_errors_before_any_table(tables_script, capsys, argv, code):
+    assert tables_script.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_tables_script_csv_is_table_to_csv(tables_script, capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    specs = ["4;0-1,0-2", "4;0-1,0-2,1-2"]
+    assert tables_script.main(specs + ["--n-max", "6", "--csv", str(path)]) == 0
+    assert "n=5  [###.#######]  f=3 F=3" in capsys.readouterr().out
+    family = FamilySpec([parse_graph(s) for s in specs])
+    want = [table_to_csv(feasible_pairs(family, n)) for n in (4, 5, 6)]
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,m,feasible"
+    assert lines[1:] == [row for text in want for row in text.splitlines()[1:]]
+
+
+def test_tables_script_unwritable_csv_exit(tables_script, capsys, tmp_path):
+    path = tmp_path / "missing" / "rows.csv"
+    assert tables_script.main(["paw", "--n-max", "5", "--csv", str(path)]) == 8
+    assert capsys.readouterr().err.startswith("error: ")
