@@ -11,7 +11,7 @@ Q:p,r,x,y.
 from __future__ import annotations
 
 from .constructions import HParams, QParams, SplitParams, h_graph, q_graph, s_graph
-from .errors import ParseError
+from .errors import ParseError, byte_offset
 from .graph6 import decode_graph6
 from .graphs import (
     Graph,
@@ -57,12 +57,12 @@ def _parse_named(text: str) -> Graph | None:
     parts = tail.split(",")
     if len(parts) != arity:
         raise ParseError(
-            f"{name!r} takes {arity} parameter(s), got {len(parts)}", _byte_offset(text, pos)
+            f"{name!r} takes {arity} parameter(s), got {len(parts)}", byte_offset(text, pos)
         )
     args = []
     for part in parts:
         if not _is_digits(part.strip().removeprefix("-")):
-            raise ParseError(f"bad integer {part!r} in {text!r}", _byte_offset(text, pos))
+            raise ParseError(f"bad integer {part!r} in {text!r}", byte_offset(text, pos))
         args.append(int(part))
         pos += len(part) + 1
     return build(*args)
@@ -72,13 +72,6 @@ def _is_digits(s: str) -> bool:
     # ASCII only: int() rejects some Unicode digits ('²') and accepts
     # others ('٤')
     return s.isascii() and s.isdigit()
-
-
-def _byte_offset(text: str, pos: int) -> int:
-    # ParseError offsets count bytes of the text as typed, leading blanks
-    # included; command-line bytes that are not UTF-8 arrive as
-    # surrogate escapes, one per byte
-    return len(text[:pos].encode("utf-8", "surrogateescape"))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -91,7 +84,7 @@ def parse_edge_list(text: str) -> Graph:
     for token in tail.split(",") if tail.strip() else []:
         u, sep, v = token.partition("-")
         if not sep or not _is_digits(u.strip()) or not _is_digits(v.strip()):
-            raise ParseError(f"bad edge token {token.strip()!r}", _byte_offset(text, pos))
+            raise ParseError(f"bad edge token {token.strip()!r}", byte_offset(text, pos))
         edges.append((int(u), int(v)))
         pos += len(token) + 1
     return make_graph(n, edges)
@@ -109,5 +102,5 @@ def parse_graph(text: str) -> Graph:
     except ParseError as e:
         raise ParseError(
             f"{text!r} is not a catalog name, an edge list, or graph6 ({e.message})",
-            _byte_offset(text, len(text) - len(text.lstrip())) + e.offset,
+            byte_offset(text, len(text) - len(text.lstrip()) + e.offset),
         )

@@ -43,6 +43,7 @@ from .errors import (
     ParseError,
     RangeError,
     ValidationError,
+    byte_offset,
 )
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import Graph
@@ -195,7 +196,11 @@ def cmd_encode(args) -> str:
 
 
 def cmd_decode(args) -> str:
-    g = decode_graph6(args.graph6.strip())
+    text = args.graph6
+    try:
+        g = decode_graph6(text.strip())
+    except ParseError as e:
+        raise ParseError(e.message, byte_offset(text, len(text) - len(text.lstrip()) + e.offset))
     if args.json:
         return json.dumps(
             {

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from .errors import ParameterError, RangeError
 from .graphs import (
     Graph,
+    _clique_rows,
+    complement,
     complete_graph,
     empty_graph,
     join,
-    make_graph,
 )
 
 
@@ -97,15 +98,17 @@ class SplitParams:
 
 
 def h_graph(params: HParams) -> Graph:
-    """Build H(p,q,r). Star center is vertex 0, leaves are 1..q."""
-    p, q, r = params.p, params.q, params.r
-    edges = [
-        (u, v)
-        for u in range(p)
-        for v in range(u + 1, p)
-        if not (u == 0 and v <= q)
-    ]
-    return make_graph(p + r, edges)
+    """Build H(p,q,r). Star center is vertex 0, leaves are 1..q.
+
+    Rows: with full = 2^p - 1, clique vertex u has full ^ 1 << u, except
+    that row 0 lacks bits 1..q and rows 1..q lack bit 0; the r isolated
+    vertices p..p+r-1 have row 0.
+    """
+    rows = _clique_rows(params.p, params.r)
+    for leaf in range(1, params.q + 1):
+        rows[0] ^= 1 << leaf
+        rows[leaf] ^= 1
+    return Graph(params.order, tuple(rows))
 
 
 def s_graph(params: SplitParams) -> Graph:
@@ -114,22 +117,23 @@ def s_graph(params: SplitParams) -> Graph:
 
 
 def q_graph(params: QParams) -> Graph:
-    """Build Q(p,r,x,y). Triangles occupy vertices 0..3x-1, edges the next 2y."""
-    p, r, x, y = params.p, params.r, params.x, params.y
-    drop = set()
-    for i in range(x):
-        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
-        drop.update({(a, b), (a, c), (b, c)})
-    for i in range(y):
-        a = 3 * x + 2 * i
-        drop.add((a, a + 1))
-    edges = [
-        (u, v)
-        for u in range(p)
-        for v in range(u + 1, p)
-        if (u, v) not in drop
-    ]
-    return make_graph(p + r, edges)
+    """Build Q(p,r,x,y). Triangles occupy vertices 0..3x-1, edges the next 2y.
+
+    Rows: start from K_p's rows (full ^ 1 << u, full = 2^p - 1). Triangle
+    i on a = 3i, a+1, a+2 clears its mask 7 << a from its three rows; edge
+    j on a = 3x + 2j, a+1 clears bit a+1 of row a and bit a of row a+1.
+    The r isolated vertices p..p+r-1 have row 0.
+    """
+    x, y = params.x, params.y
+    rows = _clique_rows(params.p, params.r)
+    for a in range(0, 3 * x, 3):
+        triangle = 7 << a
+        for u in (a, a + 1, a + 2):
+            rows[u] &= ~triangle
+    for a in range(3 * x, 3 * x + 2 * y, 2):
+        rows[a] ^= 1 << (a + 1)
+        rows[a + 1] ^= 1 << a
+    return Graph(params.order, tuple(rows))
 
 
 def _min_clique_order(m: int) -> int:
@@ -200,16 +204,13 @@ def split_pack_witness(n: int, m: int) -> Graph:
     if m == top:
         return complete_graph(n)
     if m == top - 1:
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
-        return make_graph(n, edges)
+        return q_graph(QParams(n, 0, 0, 1))
     for p in range(n - 2):
         base = p * (p - 1) // 2 + p * (n - p)
         if base <= m <= base + (n - p - 2):
             x, y = k3k2_decompose(n - p, m - base)
-            packing = [(a, b) for i in range(x) for a in (3 * i, 3 * i + 1)
-                       for b in (3 * i + 1, 3 * i + 2) if a < b]
-            packing += [(3 * x + 2 * i, 3 * x + 2 * i + 1) for i in range(y)]
-            return join(complete_graph(p), make_graph(n - p, packing))
+            # the packing xK_3 + yK_2 is what Q(n-p, 0, x, y) deletes
+            return join(complete_graph(p), complement(q_graph(QParams(n - p, 0, x, y))))
     raise RangeError(f"no clique part covers m={m} at n={n}")
 
 
@@ -219,4 +220,5 @@ def matching_witness(n: int, m: int) -> Graph:
         raise RangeError(f"vertex count must be non-negative, got {n}")
     if not 0 <= m <= n // 2:
         raise RangeError(f"matching size {m} out of range [0, {n // 2}]")
-    return make_graph(n, [(2 * i, 2 * i + 1) for i in range(m)])
+    # the m edges are what Q(n, 0, 0, m) deletes from K_n
+    return complement(q_graph(QParams(n, 0, 0, m)))

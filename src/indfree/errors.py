@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the byte offset a
+ParseError carries.
 
 Each class corresponds to one failure mode surfaced by the CLI with its own
 exit code, so callers can tell "bad input text" from "valid input outside
@@ -27,6 +28,19 @@ class ParseError(IndfreeError):
         super().__init__(f"{message} (at byte {offset})")
         self.message = message
         self.offset = offset
+
+
+def byte_offset(text: str, pos: int) -> int:
+    """ParseError offset of character pos of text: the UTF-8 bytes before it
+    as typed, leading blanks included. Command-line bytes that are not
+    UTF-8 arrive as surrogate escapes, one per byte."""
+    head = text[:pos]
+    try:
+        return len(head.encode("utf-8", "surrogateescape"))
+    except UnicodeEncodeError:
+        # a lone surrogate that escapes no byte, from a caller's str: it has
+        # no UTF-8 form, so count the three bytes it would take
+        return len(head.encode("utf-8", "surrogatepass"))
 
 
 class ParameterError(IndfreeError):

@@ -25,7 +25,8 @@ MAX_ORDER = 64
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph. Build via :func:`make_graph`, not directly."""
+    """Immutable simple graph. Build from edges via :func:`make_graph`, or
+    from rows that are already symmetric with a zero diagonal."""
 
     order: int
     rows: tuple[int, ...]
@@ -63,16 +64,21 @@ class Graph:
         return f"Graph({self.order};{es})"
 
 
+def _check_order(order: int) -> None:
+    """Raise ValidationError for a negative order, CapacityError above 64."""
+    if order < 0:
+        raise ValidationError(f"order must be non-negative, got {order}")
+    if order > MAX_ORDER:
+        raise CapacityError(f"order {order} exceeds the cap of {MAX_ORDER} vertices")
+
+
 def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an explicit edge list; duplicate edges collapse.
 
     Raises CapacityError for order > 64, ValidationError for loops or
     endpoints outside [0, order).
     """
-    if order < 0:
-        raise ValidationError(f"order must be non-negative, got {order}")
-    if order > MAX_ORDER:
-        raise CapacityError(f"order {order} exceeds the cap of {MAX_ORDER} vertices")
+    _check_order(order)
     rows = [0] * order
     for u, v in edges:
         if u == v:
@@ -127,19 +133,23 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(vs), tuple(rows))
 
 
-def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
-    """Relabeled copy where new vertex i is old vertex perm[i]."""
-    return induced_subgraph(g, perm)
-
-
 # Named building blocks used throughout the constructions and the CLI catalog.
 
+def _clique_rows(p: int, r: int) -> list[int]:
+    """Rows of K_p followed by r isolated vertices: row u < p has every
+    bit below p but its own. Checks the order p + r."""
+    _check_order(p + r)
+    full = (1 << p) - 1
+    return [full ^ 1 << u for u in range(p)] + [0] * r
+
+
 def complete_graph(k: int) -> Graph:
-    return make_graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+    return Graph(k, tuple(_clique_rows(k, 0)))
 
 
 def empty_graph(k: int) -> Graph:
-    return make_graph(k, [])
+    _check_order(k)
+    return Graph(k, (0,) * k)
 
 
 def path_graph(k: int) -> Graph:

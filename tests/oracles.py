@@ -2,14 +2,19 @@
 
 Everything here works by raw permutation and subset enumeration over the
 adjacency rows, deliberately sharing no code path with the library's
-canonical-form or backtracking search, so agreement is meaningful.
+canonical-form or backtracking search, so agreement is meaningful. The
+graph6 references pack and unpack one bit per loop step, and the
+construction references build from edge lists, sharing no code with the
+library's base64 codec or its row-mask constructions.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from indfree import Graph
+from indfree import MAX_ORDER, CapacityError, Graph, ParseError, make_graph
+
+_SHORT_MAX = 62
 
 
 def reference_wl_colors(g: Graph) -> tuple[int, ...]:
@@ -145,3 +150,105 @@ def orbit_size_total(n: int) -> int:
             seen[img] = 1
         total += len(orbit)
     return total
+
+
+def reference_encode_graph6(g: Graph) -> str:
+    """Reference for encode_graph6: the bits packed one at a time."""
+    n = g.order
+    if n > MAX_ORDER:
+        raise CapacityError(f"graph6 order {n} exceeds the cap of {MAX_ORDER} vertices")
+    if n <= _SHORT_MAX:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr((n >> s & 63) + 63) for s in (12, 6, 0)]
+    acc = 0
+    nbits = 0
+    for v in range(1, n):
+        for u in range(v):
+            acc = acc << 1 | (g.rows[u] >> v & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
+def _reference_decode_order(text: str) -> tuple[int, int]:
+    head = ord(text[0])
+    if 63 <= head < 126:
+        return head - 63, 1
+    if head != 126:
+        raise ParseError(f"invalid graph6 order byte {text[0]!r}", 0)
+    if text[1:2] == "~":
+        raise CapacityError(f"graph6 order above 258047 exceeds the cap of {MAX_ORDER} vertices")
+    if len(text) < 4:
+        raise ParseError("truncated graph6 long-form order", 0)
+    n = 0
+    for pos in range(1, 4):
+        b = ord(text[pos])
+        if not 63 <= b <= 126:
+            raise ParseError(f"invalid graph6 order byte {text[pos]!r}", pos)
+        n = n << 6 | (b - 63)
+    if n <= _SHORT_MAX:
+        raise ParseError(f"graph6 long form is not canonical for order {n}", 0)
+    if n > MAX_ORDER:
+        raise CapacityError(f"graph6 order {n} exceeds the cap of {MAX_ORDER} vertices")
+    return n, 4
+
+
+def reference_decode_graph6(text: str) -> Graph:
+    """Reference for decode_graph6: the bits unpacked one at a time."""
+    if not text:
+        raise ParseError("empty graph6 string", 0)
+    n, pos = _reference_decode_order(text)
+    need = pos + (n * (n - 1) // 2 + 5) // 6
+    if len(text) != need:
+        raise ParseError(
+            f"graph6 string for order {n} needs {need} bytes, got {len(text)}",
+            min(len(text), need),
+        )
+    rows = [0] * n
+    acc = 0
+    have = 0
+    for v in range(1, n):
+        for u in range(v):
+            if have == 0:
+                b = ord(text[pos])
+                if not 63 <= b <= 126:
+                    raise ParseError(f"invalid graph6 byte {text[pos]!r}", pos)
+                acc = b - 63
+                have = 6
+                pos += 1
+            have -= 1
+            if acc >> have & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    if have and acc & ((1 << have) - 1):
+        raise ParseError("nonzero padding bits", pos - 1)
+    return Graph(n, tuple(rows))
+
+
+def reference_h_graph(p: int, q: int, r: int) -> Graph:
+    """H(p,q,r) from its edge list: K_p less the edges 0-1..0-q, r isolates."""
+    return make_graph(p + r, [(u, v) for u in range(p) for v in range(u + 1, p) if not (u == 0 and v <= q)])
+
+
+def reference_q_graph(p: int, r: int, x: int, y: int) -> Graph:
+    """Q(p,r,x,y) from its edge list: K_p less x triangles on 0..3x-1 and
+    y edges on the next 2y vertices, r isolates."""
+    drop = set()
+    for i in range(x):
+        a = 3 * i
+        drop |= {(a, a + 1), (a, a + 2), (a + 1, a + 2)}
+    for i in range(y):
+        a = 3 * x + 2 * i
+        drop.add((a, a + 1))
+    return make_graph(p + r, [(u, v) for u in range(p) for v in range(u + 1, p) if (u, v) not in drop])
+
+
+def reference_s_graph(p: int, r: int) -> Graph:
+    """S(p,r) from its edge list: every pair with an end in the clique 0..p-1."""
+    return make_graph(p + r, [(u, v) for u in range(p) for v in range(u + 1, p + r)])

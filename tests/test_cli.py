@@ -9,6 +9,7 @@ from jsonschema import Draft202012Validator
 
 from indfree import (
     IndfreeError,
+    ParseError,
     complete_graph,
     decode_graph6,
     is_isomorphic,
@@ -304,6 +305,36 @@ def test_decode_json(capsys):
 def test_decode_bad_string_exit(capsys):
     code, _, err = run(capsys, "decode", "D?")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("  D?", 4),
+        ("\u00a0D?", 4),
+        ("  D\x01?", 3),
+        ("\u00a0D\x01?", 3),
+        # one character too many, after a two-byte one
+        ("\u00a0D\u00e9??", 6),
+    ],
+)
+def test_decode_offset_counts_bytes_as_typed(capsys, text, offset):
+    # decode and classify report the same offset for the same text:
+    # UTF-8 bytes as typed, leading blanks included
+    code, _, err = run(capsys, "decode", text)
+    assert code == 2
+    assert err.rstrip().endswith(f"(at byte {offset})")
+    code, _, err = run(capsys, "classify", text)
+    assert code == 2
+    assert err.rstrip().endswith(f"(at byte {offset})")
+
+
+def test_parse_graph_offset_past_a_lone_surrogate():
+    # a str from a caller may hold a surrogate that escapes no byte; the
+    # offset counts the three bytes it would take, and no UnicodeError leaks
+    with pytest.raises(ParseError) as err:
+        parse_graph("D?\ud800?")
+    assert err.value.offset == 5
 
 
 def test_named_specifiers_round_trip(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from indfree import (
     complete_graph,
     contains_induced,
     cycle_graph,
+    encode_graph6,
     disjoint_union,
     empty_graph,
     h_graph,
@@ -20,13 +22,16 @@ from indfree import (
     k3k2_witness,
     make_graph,
     matching_witness,
+    parse_graph,
     path_graph,
     q_graph,
     s_graph,
     split_pack_witness,
     star_graph,
     uep_witness,
+    witness,
 )
+from oracles import reference_h_graph, reference_q_graph, reference_s_graph
 
 
 def binom2(n):
@@ -301,3 +306,55 @@ def test_exact_counts_up_to_fourteen():
             if n >= 3:
                 g = split_pack_witness(n, m)
                 assert g.order == n and g.edge_count == m, ("split", n, m)
+
+
+# the row-built families against edge-list references (tests/oracles.py)
+
+
+def test_h_graph_matches_edge_list_reference():
+    for p in range(13):
+        for q in range(max(p, 1)):
+            for r in range(3):
+                assert h_graph(HParams(p, q, r)) == reference_h_graph(p, q, r), (p, q, r)
+
+
+def test_q_graph_matches_edge_list_reference():
+    for p in range(13):
+        for r in range(3):
+            for x in range(p // 3 + 1):
+                for y in range((p - 3 * x) // 2 + 1):
+                    assert q_graph(QParams(p, r, x, y)) == reference_q_graph(p, r, x, y), (p, r, x, y)
+
+
+def test_s_graph_matches_edge_list_reference():
+    for p in range(13):
+        for r in range(3):
+            if p + r >= 2:
+                assert s_graph(SplitParams(p, r)) == reference_s_graph(p, r), (p, r)
+
+
+def test_families_at_the_order_cap():
+    assert h_graph(HParams(62, 60, 2)) == reference_h_graph(62, 60, 2)
+    assert q_graph(QParams(64, 0, 20, 2)) == reference_q_graph(64, 0, 20, 2)
+    assert s_graph(SplitParams(40, 24)) == reference_s_graph(40, 24)
+
+
+# sha256 of the newline-joined graph6 of witness(G, n, m) over every
+# n <= 20 and m, one pattern per construction, recorded before the
+# constructions built rows instead of edge lists
+WITNESS_DIGESTS = {
+    "claw": ("UEP", "d7891dbe3d1c30d4eb3013df3915fe0de6903a9b1fc630843208f446e4b49adc"),
+    "paw": ("K3K2", "bf3baa5c51a8029c5f4a56fb1eff43937a9997dec5904555fa8181bd1bf85a61"),
+    "H:4,0,1": ("UEP_COMPLEMENT", "2278906ba3803d62d77aee69eb77bddfb9af2cf590d87f448737dd73c9ccf762"),
+    "H:3,1,1": ("K3K2_COMPLEMENT", "90233e29aca804fa78f03e56694878b4b845b6058ee9e54be8519755def15378"),
+}
+
+
+@pytest.mark.parametrize("spec", WITNESS_DIGESTS)
+def test_witness_digest_pinned(spec):
+    tag, digest = WITNESS_DIGESTS[spec]
+    g = parse_graph(spec)
+    certs = [witness(g, n, m) for n in range(21) for m in range(binom2(n) + 1)]
+    assert {c.construction.value for c in certs} == {tag}
+    text = "\n".join(encode_graph6(c.graph) for c in certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

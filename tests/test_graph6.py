@@ -1,7 +1,9 @@
 import random
 from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from indfree import (
     CapacityError,
@@ -16,6 +18,7 @@ from indfree import (
     enumerate_nonisomorphic,
     make_graph,
 )
+from oracles import reference_decode_graph6, reference_encode_graph6
 
 RNG = random.Random(77)
 
@@ -131,3 +134,130 @@ def test_list_reports_global_offset():
     with pytest.raises(ParseError) as err:
         decode_graph6_list(good + "\n\x07bad\n")
     assert err.value.offset >= len(good) + 1
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        # a bad byte after leading blanks: "C~\n" is bytes 0-2, "  D" 3-5
+        ("C~\n  D\x01?", 6),
+        # a no-break space takes two bytes, so the bad byte is byte 6
+        ("C~\n\u00a0D\x01?", 6),
+        # a short line: its end, after the blanks, is byte 7
+        ("C~\n  D?\n", 7),
+        ("\u00a0C~\n\u00a0D?", 9),
+        # a lone surrogate from a caller's str counts three bytes
+        ("D?\ud800?", 5),
+    ],
+)
+def test_list_offsets_count_bytes_as_typed(text, offset):
+    with pytest.raises(ParseError) as err:
+        decode_graph6_list(text)
+    assert err.value.offset == offset
+
+
+# the codec against the bit-at-a-time reference in tests/oracles.py
+
+
+@st.composite
+def wide_graphs(draw):
+    """Graphs of order 0-64, sparse, even or dense."""
+    n = draw(st.integers(0, 64))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    top = (1 << len(pairs)) - 1
+    mask = draw(st.integers(0, top))
+    density = draw(st.sampled_from(("sparse", "even", "dense")))
+    if density == "sparse":
+        mask &= draw(st.integers(0, top)) & draw(st.integers(0, top))
+    elif density == "dense":
+        mask |= draw(st.integers(0, top)) | draw(st.integers(0, top))
+    return make_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_graphs())
+def test_codec_matches_reference(g):
+    text = encode_graph6(g)
+    assert text == reference_encode_graph6(g)
+    assert decode_graph6(text) == g
+
+
+def _outcome(decode, text):
+    try:
+        return decode(text)
+    except (ParseError, CapacityError) as e:
+        return type(e), str(e), getattr(e, "offset", None)
+
+
+def _body_with(n: int, pos: int, char: str) -> str:
+    text = reference_encode_graph6(complete_graph(n))
+    return text[:pos] + char + text[pos + 1:]
+
+
+MALFORMED = {
+    "empty": "",
+    "bad header byte": "\x01",
+    "blank header byte": " ??",
+    "header byte 127": "\x7f",
+    "non-ASCII header": "\u00e9??",
+    "bad first body byte": _body_with(10, 1, "\x01"),
+    "bad middle body byte": _body_with(10, 5, " "),
+    "bad last body byte": _body_with(10, 8, "\x7f"),
+    "non-ASCII last body byte": _body_with(10, 8, "\u00e9"),
+    "surrogate escape in body": _body_with(10, 4, "\udcff"),
+    "long form, bad first body byte": _body_with(64, 4, "\x00"),
+    "long form, bad middle body byte": _body_with(64, 170, "\x00"),
+    "long form, bad last body byte": _body_with(64, 339, "\x00"),
+    "short": "D?",
+    "long": "D???",
+    "short by one": reference_encode_graph6(complete_graph(10))[:-1],
+    "long by one": reference_encode_graph6(complete_graph(10)) + "?",
+    "long form, short by one": reference_encode_graph6(complete_graph(63))[:-1],
+    "long form, long by one": reference_encode_graph6(complete_graph(64)) + "~",
+    # orders 2, 10 and 63 leave 5, 3 and 3 padding bits
+    "padding, order 2, lowest bit": "A@",
+    "padding, order 2, highest bit": "AO",
+    "padding, order 2, both bits": "A`",
+    "padding, order 10": _body_with(10, 8, "~"),
+    "padding, order 10, lowest bit": _body_with(10, 8, "x"),
+    "padding, order 63": _body_with(63, 329, "@"),
+    "long form marker alone": "~",
+    "truncated long form": "~?",
+    "truncated long form order": "~??",
+    "bad long form order byte": "~?" + chr(10) + "~" + "?" * 326,
+    "non-canonical long form": "~??}" + "?" * 315,
+    "long form order 65": "~?@A" + "?" * 347,
+    "~~": "~~",
+    "~~ with an order": "~~???????",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_fails_like_reference(text):
+    want = _outcome(reference_decode_graph6, text)
+    assert isinstance(want, tuple), "each case must be malformed"
+    assert _outcome(decode_graph6, text) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    wide_graphs(),
+    st.lists(
+        st.tuples(st.sampled_from(("put", "insert", "delete")), st.integers(0, 400), st.characters()),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_edited_text_decodes_like_reference(g, edits):
+    text = list(reference_encode_graph6(g))
+    for op, at, char in edits:
+        at %= len(text) + 1
+        if op == "insert":
+            text.insert(at, char)
+        elif at < len(text):
+            if op == "put":
+                text[at] = char
+            else:
+                del text[at]
+    text = "".join(text)
+    assert _outcome(decode_graph6, text) == _outcome(reference_decode_graph6, text)

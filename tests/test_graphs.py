@@ -13,7 +13,6 @@ from indfree import (
     make_graph,
     matching_graph,
     path_graph,
-    relabel,
     star_graph,
 )
 
@@ -95,11 +94,13 @@ def test_induced_subgraph_keeps_given_order():
 
 
 def test_relabel_reverses():
+    # induced_subgraph on a permutation of all vertices relabels: new
+    # vertex i is old vertex perm[i]
     star = star_graph(2)
     assert star.degree(0) == 2
-    moved = relabel(star, (1, 0, 2))
+    moved = induced_subgraph(star, (1, 0, 2))
     assert moved.degree(1) == 2 and moved.degree(0) == 1
-    assert relabel(path_graph(3), (2, 1, 0)) == path_graph(3)
+    assert induced_subgraph(path_graph(3), (2, 1, 0)) == path_graph(3)
 
 
 def test_builders():
