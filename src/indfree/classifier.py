@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .constructions import HParams, k3k2_witness, uep_witness
+from .constructions import HParams, _check_pair, k3k2_witness, uep_witness
 from .errors import (
     DegenerateForbiddenError,
     InfeasibleFamilyError,
     InternalInvariantError,
     ParameterError,
-    RangeError,
 )
-from .graphs import Graph, complement, induced_subgraph
+from .graphs import Graph, complement
 from .iso import contains_induced
 
 
@@ -52,13 +51,6 @@ class ForbiddenClass:
     tnf_kind: TnfKind | None = None
     k: int | None = None
     h: HParams | None = None
-
-
-@dataclass(frozen=True)
-class Verdict:
-    feasible: bool
-    kind: TnfKind | None = None
-    k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -102,30 +94,39 @@ def recognize_h(g: Graph) -> HParams | None:
     Isolated vertices are split off as r first; a star center that lost
     all its clique edges (q = p-1) is itself isolated, so stripping makes
     the returned parameters canonical (q <= p-2, or p = 0) for free. The
-    remaining core must be a clique minus a star: its complement has to
-    be exactly q edges all sharing one endpoint.
+    remaining core must be a clique minus a star: each core vertex's
+    missing core neighbours, miss, must be empty or the star center,
+    except at the center itself, which misses all q edges.
     """
-    isolated = [v for v in range(g.order) if g.rows[v] == 0]
-    core_vs = [v for v in range(g.order) if g.rows[v] != 0]
-    r = len(isolated)
-    p = len(core_vs)
+    core = 0
+    for row in g.rows:
+        core |= row
+    p = core.bit_count()
+    r = g.order - p
     if p == 0:
         return HParams(0, 0, r)
-    core = induced_subgraph(g, core_vs)
-    co = complement(core)
-    q = co.edge_count
+    miss = [(v, core & ~(row | 1 << v)) for v, row in enumerate(g.rows) if row]
+    q = sum(m.bit_count() for _, m in miss) // 2
     if q == 0:
         return HParams(p, 0, r)
-    center = max(range(p), key=lambda v: co.rows[v].bit_count())
-    if co.rows[center].bit_count() != q:
+    center, hub = max(miss, key=lambda vm: vm[1].bit_count())
+    # a fast reject only: the loop below alone rejects every non-star
+    if hub.bit_count() != q:
         return None
-    for v in range(p):
-        if v != center and co.rows[v] & ~(1 << center):
+    for v, m in miss:
+        if v != center and m & ~(1 << center):
             return None
     return HParams(p, q, r)
 
 
 def classify(g: Graph) -> ForbiddenClass:
+    """The one classification pass: TNF, else H-graph, else general.
+
+    TNF wins ties, so K_k is TNF although it is also H(k,0,0). K_1 is
+    not TNF (the TNF shapes start at k = 2), so it classifies as
+    feasible by convention; witness still rejects it as degenerate,
+    since every graph on one or more vertices contains it.
+    """
     if g.order < 1:
         raise ParameterError("classification needs at least one vertex")
     tnf = recognize_tnf(g)
@@ -135,15 +136,6 @@ def classify(g: Graph) -> ForbiddenClass:
     if h is not None:
         return ForbiddenClass(ClassTag.H_GRAPH, h=h)
     return ForbiddenClass(ClassTag.GENERAL)
-
-
-def feasibility_verdict(g: Graph) -> Verdict:
-    if g.order < 1:
-        raise ParameterError("verdict needs at least one vertex")
-    tnf = recognize_tnf(g)
-    if tnf is None:
-        return Verdict(True)
-    return Verdict(False, kind=tnf[0], k=tnf[1])
 
 
 def witness(forbidden: Graph, n: int, m: int, verify: bool = False) -> WitnessCertificate:
@@ -168,21 +160,18 @@ def witness(forbidden: Graph, n: int, m: int, verify: bool = False) -> WitnessCe
         raise DegenerateForbiddenError(
             "single-vertex (or empty) forbidden graph admits no witness family"
         )
-    tnf = recognize_tnf(forbidden)
-    if tnf is not None:
-        raise InfeasibleFamilyError(tnf[0], tnf[1])
-    if n < 0 or not 0 <= m <= n * (n - 1) // 2:
-        raise RangeError(f"edge count {m} out of range for n={n}")
+    cls = classify(forbidden)
+    if cls.tag is ClassTag.TNF:
+        raise InfeasibleFamilyError(cls.tnf_kind, cls.k)
+    _check_pair(n, m)
 
     co_m = n * (n - 1) // 2 - m
-    h = recognize_h(forbidden)
+    h = cls.h
     if h is None:
         tag, g = Construction.UEP, uep_witness(n, m)
     elif h.q >= 2:
         tag, g = Construction.K3K2, k3k2_witness(n, m)
-    elif h.q == 0:
-        tag, g = Construction.UEP_COMPLEMENT, complement(uep_witness(n, co_m))
-    elif h.p >= 4:
+    elif h.q == 0 or h.p >= 4:
         tag, g = Construction.UEP_COMPLEMENT, complement(uep_witness(n, co_m))
     else:
         tag, g = Construction.K3K2_COMPLEMENT, complement(k3k2_witness(n, co_m))

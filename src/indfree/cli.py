@@ -28,11 +28,10 @@ from .classifier import (
     ClassTag,
     TnfKind,
     classify,
-    feasibility_verdict,
     tnf_infeasible_region,
     witness,
 )
-from .enumeration import FamilySpec, feasible_pairs, table_to_csv
+from .enumeration import FamilySpec, feasible_pairs, table_to_csv, table_to_json
 from .errors import (
     CapacityError,
     DegenerateForbiddenError,
@@ -74,14 +73,14 @@ def _edge_list_literal(g: Graph) -> str:
 def cmd_classify(args) -> str:
     g, text = _input_graph(args)
     cls = classify(g)
-    verdict = feasibility_verdict(g)
+    feasible = cls.tag is not ClassTag.TNF
     if args.json:
         return json.dumps(
             {
                 "input": text,
                 "order": g.order,
                 "edge_count": g.edge_count,
-                "verdict": "Feasible" if verdict.feasible else "Infeasible",
+                "verdict": "Feasible" if feasible else "Infeasible",
                 "tag": cls.tag.value,
                 "tnf_kind": cls.tnf_kind.value if cls.tnf_kind else None,
                 "k": cls.k,
@@ -90,10 +89,10 @@ def cmd_classify(args) -> str:
             indent=2,
         )
     lines = [f"order {g.order}, edges {g.edge_count}"]
-    if verdict.feasible:
+    if feasible:
         lines.append("verdict: Feasible")
     else:
-        lines.append(f"verdict: Infeasible ({verdict.kind.value}, k={verdict.k})")
+        lines.append(f"verdict: Infeasible ({cls.tnf_kind.value}, k={cls.k})")
     if cls.tag is ClassTag.H_GRAPH:
         lines.append(f"shape: H({cls.h.p},{cls.h.q},{cls.h.r})")
     elif cls.tag is ClassTag.GENERAL:
@@ -136,16 +135,7 @@ def cmd_pairs(args) -> str:
     family = FamilySpec(graphs)
     table = feasible_pairs(family, args.n)
     if args.json:
-        return json.dumps(
-            {
-                "n": table.n,
-                "forbidden": [encode_graph6(g) for g in family.forbidden],
-                "feasible": list(table.feasible),
-                "f": table.f,
-                "F": table.F,
-            },
-            indent=2,
-        )
+        return table_to_json(table, family)
     if args.csv:
         return table_to_csv(table).rstrip("\n")
     bad = [m for m, ok in enumerate(table.feasible) if not ok]

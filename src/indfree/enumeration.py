@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import CapacityError, RangeError, ValidationError
+from .graph6 import encode_graph6
 from .graphs import Graph
 from .iso import _automorphisms, canonical_form, contains_induced
 
@@ -173,12 +174,6 @@ def feasible_pairs(family: FamilySpec, n: int) -> PairTable:
     return PairTable(n, tuple(feasible))
 
 
-def extremal_stats(family: FamilySpec, n: int) -> tuple[int | None, int | None]:
-    """Least and greatest infeasible edge count, None/None when all feasible."""
-    table = feasible_pairs(family, n)
-    return table.f, table.F
-
-
 def interval_check_p3k1(n: int) -> tuple[int, int]:
     """The interval of edge counts [floor(n/2)+1, n-2], every one of which
     is infeasible for the family forbidding {P_3 + isolate, K_3 + isolate}."""
@@ -194,10 +189,12 @@ def table_to_csv(table: PairTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_to_json(table: PairTable) -> str:
+def table_to_json(table: PairTable, family: FamilySpec) -> str:
+    """The `pairs --json` document: the table and the family's graph6 codes."""
     return json.dumps(
         {
             "n": table.n,
+            "forbidden": [encode_graph6(g) for g in family.forbidden],
             "feasible": list(table.feasible),
             "f": table.f,
             "F": table.F,

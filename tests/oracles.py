@@ -5,14 +5,26 @@ adjacency rows, deliberately sharing no code path with the library's
 canonical-form or backtracking search, so agreement is meaningful. The
 graph6 references pack and unpack one bit per loop step, and the
 construction references build from edge lists, sharing no code with the
-library's base64 codec or its row-mask constructions.
+library's base64 codec or its row-mask constructions. The H-graph
+recogniser reference is the library's earlier one, which reads the
+shape off an induced core subgraph and its complement rather than off
+the row masks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from indfree import MAX_ORDER, CapacityError, Graph, ParseError, make_graph
+from indfree import (
+    MAX_ORDER,
+    CapacityError,
+    Graph,
+    HParams,
+    ParseError,
+    complement,
+    induced_subgraph,
+    make_graph,
+)
 
 _SHORT_MAX = 62
 
@@ -252,3 +264,26 @@ def reference_q_graph(p: int, r: int, x: int, y: int) -> Graph:
 def reference_s_graph(p: int, r: int) -> Graph:
     """S(p,r) from its edge list: every pair with an end in the clique 0..p-1."""
     return make_graph(p + r, [(u, v) for u in range(p) for v in range(u + 1, p + r)])
+
+
+def reference_recognize_h(g: Graph) -> HParams | None:
+    """Reference for recognize_h: the core built as an induced subgraph,
+    and the missing star read off its complement."""
+    isolated = [v for v in range(g.order) if g.rows[v] == 0]
+    core_vs = [v for v in range(g.order) if g.rows[v] != 0]
+    r = len(isolated)
+    p = len(core_vs)
+    if p == 0:
+        return HParams(0, 0, r)
+    core = induced_subgraph(g, core_vs)
+    co = complement(core)
+    q = co.edge_count
+    if q == 0:
+        return HParams(p, 0, r)
+    center = max(range(p), key=lambda v: co.rows[v].bit_count())
+    if co.rows[center].bit_count() != q:
+        return None
+    for v in range(p):
+        if v != center and co.rows[v] & ~(1 << center):
+            return None
+    return HParams(p, q, r)

@@ -18,7 +18,6 @@ from indfree import (
     contains_induced,
     empty_graph,
     enumerate_nonisomorphic,
-    feasibility_verdict,
     h_graph,
     make_graph,
     matching_graph,
@@ -116,7 +115,7 @@ def test_recognize_h_agrees_with_brute_force_up_to_six():
                 assert canonical_form(h_graph(got)) == canonical_form(g)
 
 
-# classify / feasibility_verdict
+# classify
 
 
 def test_classify_tnf_precedes_h():
@@ -137,20 +136,21 @@ def test_classify_general(claw):
 
 
 def test_verdict_examples(paw, diamond, p3_k1):
-    v = feasibility_verdict(diamond)
-    assert not v.feasible and v.kind is TnfKind.CLIQUE_MINUS_EDGE and v.k == 4
-    assert feasibility_verdict(paw).feasible
-    assert feasibility_verdict(p3_k1).feasible
+    cls = classify(diamond)
+    assert cls.tag is ClassTag.TNF
+    assert cls.tnf_kind is TnfKind.CLIQUE_MINUS_EDGE and cls.k == 4
+    assert classify(paw).tag is not ClassTag.TNF
+    assert classify(p3_k1).tag is not ClassTag.TNF
 
 
 def test_verdict_k1_feasible_by_convention():
-    assert feasibility_verdict(complete_graph(1)).feasible
+    assert classify(complete_graph(1)).tag is not ClassTag.TNF
 
 
 def test_verdict_complement_consistency():
     for n in range(1, 7):
         for g in enumerate_nonisomorphic(n):
-            assert feasibility_verdict(g).feasible == feasibility_verdict(complement(g)).feasible
+            assert (classify(g).tag is ClassTag.TNF) == (classify(complement(g)).tag is ClassTag.TNF)
 
 
 # witness dispatch

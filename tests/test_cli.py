@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,8 +13,13 @@ from indfree import (
     ParseError,
     complete_graph,
     decode_graph6,
+    disjoint_union,
+    empty_graph,
+    encode_graph6,
+    enumerate_nonisomorphic,
     is_isomorphic,
     parse_graph,
+    path_graph,
     uep_witness,
 )
 from indfree.cli import EXIT_CODES, main
@@ -142,6 +148,16 @@ def test_witness_range_exit(capsys):
     code, _, err = run(capsys, "witness", "paw", "4", "7")
     assert code == 3
     assert "range" in err.lower() or "out of" in err
+
+
+@pytest.mark.parametrize(
+    "n, m, named",
+    [("-1", "0", "vertex count must be non-negative, got -1"), ("3", "4", "edge count 4")],
+)
+def test_witness_range_message_names_bad_argument(capsys, n, m, named):
+    code, _, err = run(capsys, "witness", "paw", n, m)
+    assert code == 3
+    assert named in err
 
 
 def test_witness_out_file(capsys, tmp_path):
@@ -396,3 +412,43 @@ def test_every_package_error_has_an_exit_code():
         cls = pending.pop()
         assert any(base in EXIT_CODES for base in cls.__mro__), cls
         pending += cls.__subclasses__()
+
+
+# output pins: sha256 over "<exit code>\n<stdout>" of each command in
+# turn, recorded before classify and pairs --json moved onto classify
+# and table_to_json
+
+
+def pinned_digest(capsys, argvs) -> str:
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        h.update(f"{code}\n{out}".encode())
+    return h.hexdigest()
+
+
+CLASS_CODES = [encode_graph6(g) for n in range(1, 7) for g in enumerate_nonisomorphic(n)]
+
+
+def test_classify_text_pinned(capsys):
+    digest = pinned_digest(capsys, [["classify", c] for c in CLASS_CODES])
+    assert digest == "566bd4000da3d814151b375761623a04c1fc7bd5cf2a99cc86dc3c7d1b07acc9"
+
+
+def test_classify_json_pinned(capsys):
+    digest = pinned_digest(capsys, [["classify", c, "--json"] for c in CLASS_CODES])
+    assert digest == "893898eb6c49b290e0aecba5e9e2322350381beb8fbe018996285522de37234d"
+
+
+def test_pairs_json_and_csv_pinned(capsys):
+    p3_k1 = encode_graph6(disjoint_union(path_graph(3), empty_graph(1)))
+    k3_k1 = encode_graph6(disjoint_union(complete_graph(3), empty_graph(1)))
+    families = [["paw"], ["claw"], [p3_k1, k3_k1], ["cycle:4"]]
+    argvs = [
+        ["pairs", *family, "-n", str(n), form]
+        for family in families
+        for n in range(1, 8)
+        for form in ("--json", "--csv")
+    ]
+    digest = pinned_digest(capsys, argvs)
+    assert digest == "100d2bbcbbcf143f0513fdfc9b5b64d85511a65514d6830e1152be7d80717649"

@@ -17,7 +17,6 @@ from indfree import (
     empty_graph,
     encode_graph6,
     enumerate_nonisomorphic,
-    extremal_stats,
     feasible_pairs,
     interval_check_p3k1,
     make_graph,
@@ -167,14 +166,13 @@ def test_extremal_stats_formulas(paw, claw, p3_k1, k3_k1):
     famA = FamilySpec([p3_k1, k3_k1])
     famB = FamilySpec([paw, claw])
     for n in (5, 6, 7):
-        f, _ = extremal_stats(famA, n)
-        assert f == n // 2 + 1
-        _, F = extremal_stats(famB, n)
-        assert F == binom2(n) - n // 2 - 1
+        assert feasible_pairs(famA, n).f == n // 2 + 1
+        assert feasible_pairs(famB, n).F == binom2(n) - n // 2 - 1
 
 
 def test_extremal_stats_feasible_family_is_none(paw):
-    assert extremal_stats(FamilySpec([paw]), 6) == (None, None)
+    table = feasible_pairs(FamilySpec([paw]), 6)
+    assert (table.f, table.F) == (None, None)
 
 
 def test_interval_check_values():
@@ -207,9 +205,12 @@ def test_csv_export(p3_k1, k3_k1):
 
 
 def test_json_export(p3_k1, k3_k1):
-    table = feasible_pairs(FamilySpec([p3_k1, k3_k1]), 5)
-    data = json.loads(table_to_json(table))
+    family = FamilySpec([p3_k1, k3_k1])
+    table = feasible_pairs(family, 5)
+    data = json.loads(table_to_json(table, family))
+    assert list(data) == ["n", "forbidden", "feasible", "f", "F"]
     assert data["n"] == 5
+    assert data["forbidden"] == [encode_graph6(g) for g in family.forbidden]
     assert data["f"] == 3 and data["F"] == 3
     assert data["feasible"][3] is False and data["feasible"][2] is True
 

@@ -4,17 +4,21 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from indfree import (
+    Graph,
+    HParams,
     canonical_form,
     complement,
     contains_induced,
     decode_graph6,
     encode_graph6,
+    h_graph,
     induced_subgraph,
     is_isomorphic,
     k3k2_witness,
     make_graph,
     matching_graph,
     path_graph,
+    recognize_h,
     recognize_tnf,
     star_graph,
     uep_witness,
@@ -22,7 +26,12 @@ from indfree import (
     wl_colors,
 )
 from indfree.iso import _partner_blocks, _twin_masks
-from oracles import apply_perm, brute_contains_induced, reference_wl_colors
+from oracles import (
+    apply_perm,
+    brute_contains_induced,
+    reference_recognize_h,
+    reference_wl_colors,
+)
 
 
 @st.composite
@@ -86,6 +95,24 @@ def block_blowups(draw, max_order=24):
 
 
 @st.composite
+def perturbed_h_graphs(draw):
+    """H(p,q,r) of order up to 64, relabelled at random, with one random
+    vertex pair flipped or none."""
+    p = draw(st.integers(0, 64))
+    q = draw(st.integers(0, max(p - 1, 0)))
+    r = draw(st.integers(0, 64 - p))
+    n = p + r
+    g = apply_perm(h_graph(HParams(p, q, r)), draw(st.permutations(range(n))))
+    if n < 2 or not draw(st.booleans()):
+        return g
+    u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(n, tuple(rows))
+
+
+@st.composite
 def graph_with_permutation(draw):
     g = draw(graphs(min_order=1))
     perm = draw(st.permutations(range(g.order)))
@@ -103,6 +130,11 @@ def pair_requests(draw, max_n=10):
 @given(st.one_of(graphs(max_order=13), twin_blowups(), block_blowups()))
 def test_wl_colors_matches_reference(g):
     assert wl_colors(g) == reference_wl_colors(g)
+
+
+@given(st.one_of(graphs(), twin_blowups(), block_blowups(), perturbed_h_graphs()))
+def test_recognize_h_matches_reference(g):
+    assert recognize_h(g) == reference_recognize_h(g)
 
 
 @given(graphs())
