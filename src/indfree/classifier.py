@@ -200,8 +200,8 @@ def turan_max_edges(n: int, k: int) -> int:
     return (n * n - sq) // 2
 
 
-def tnf_infeasible_region(kind: TnfKind, k: int, n: int) -> tuple[set[int], bool]:
-    """Known-infeasible edge counts for a TNF forbidden graph at this n.
+def tnf_infeasible_region(kind: TnfKind, k: int, n: int) -> tuple[range, bool]:
+    """Known-infeasible edge counts, one range, for a TNF forbidden graph at n.
 
     Clique and Empty kinds are settled exactly by the Turan bound: above
     ex(n, K_k) a clique (hence an induced one) is unavoidable, and below
@@ -214,16 +214,16 @@ def tnf_infeasible_region(kind: TnfKind, k: int, n: int) -> tuple[set[int], bool
     full = n * (n - 1) // 2
     if kind is TnfKind.CLIQUE:
         ex = turan_max_edges(n, k)
-        return set(range(ex + 1, full + 1)), True
+        return range(ex + 1, full + 1), True
     if kind is TnfKind.EMPTY:
         ex = turan_max_edges(n, k)
-        return set(range(0, full - ex)), True
+        return range(0, full - ex), True
     if n < k:
         # pattern larger than host: every edge count is feasible
-        return set(), False
+        return range(0), False
     t = (n - k + 2) // 2
     if kind is TnfKind.CLIQUE_MINUS_EDGE:
-        return set(range(full - t, full)), False
+        return range(full - t, full), False
     if kind is TnfKind.EMPTY_PLUS_EDGE:
-        return set(range(1, t + 1)), False
+        return range(1, t + 1), False
     raise ParameterError(f"unknown TNF kind {kind!r}")

@@ -31,7 +31,7 @@ from .classifier import (
     tnf_infeasible_region,
     witness,
 )
-from .enumeration import FamilySpec, feasible_pairs, table_to_csv, table_to_json
+from .enumeration import FamilySpec, _check_n, feasible_pairs, table_to_csv, table_to_json
 from .errors import (
     CapacityError,
     DegenerateForbiddenError,
@@ -132,6 +132,8 @@ def cmd_pairs(args) -> str:
     graphs += [parse_edge_list(e) for e in args.edges or []]
     if not graphs:
         raise ParseError("pairs needs at least one forbidden graph", 0)
+    # before FamilySpec, whose canonical forms can be slow on large patterns
+    _check_n(args.n)
     family = FamilySpec(graphs)
     table = feasible_pairs(family, args.n)
     if args.json:
@@ -155,19 +157,18 @@ def cmd_pairs(args) -> str:
 def cmd_bounds(args) -> str:
     kind = TnfKind(args.kind)
     region, exact = tnf_infeasible_region(kind, args.k, args.n)
-    ordered = sorted(region)
     if args.json:
         return json.dumps(
             {
                 "kind": kind.value,
                 "k": args.k,
                 "n": args.n,
-                "infeasible": ordered,
+                "infeasible": list(region),
                 "exact": exact,
             },
             indent=2,
         )
-    span = f"[{ordered[0]}, {ordered[-1]}]" if ordered else "(empty)"
+    span = f"[{region[0]}, {region[-1]}]" if region else "(empty)"
     return "\n".join(
         [
             f"{kind.value} k={args.k}, n={args.n}",

@@ -31,6 +31,14 @@ from .iso import _automorphisms, canonical_form, contains_induced
 ENUMERATION_CAP = 8
 
 
+def _check_n(n: int) -> None:
+    """Raise RangeError for a negative n, CapacityError above ENUMERATION_CAP."""
+    if n < 0:
+        raise RangeError(f"vertex count must be non-negative, got {n}")
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"exhaustive enumeration caps at n = {ENUMERATION_CAP}, got {n}")
+
+
 @lru_cache(maxsize=None)
 def _reps(n: int) -> tuple[Graph, ...]:
     """The canonical class representatives on n vertices, in class order.
@@ -102,13 +110,7 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     Exhaustive only up to n = 8 (12346 classes); beyond that the space
     outgrows desk scale and this package offers no sampling fallback.
     """
-    if n < 0:
-        raise RangeError(f"vertex count must be non-negative, got {n}")
-    if n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"exhaustive enumeration caps at n = {ENUMERATION_CAP}; "
-            f"orders beyond that would need sampling, which is out of scope"
-        )
+    _check_n(n)
     yield from _reps(n)
 
 
@@ -162,10 +164,7 @@ def feasible_pairs(family: FamilySpec, n: int) -> PairTable:
     Each edge count's classes are tried in _reps order up to the first
     one that avoids every forbidden graph.
     """
-    if n < 0:
-        raise RangeError(f"vertex count must be non-negative, got {n}")
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"exact tables cap at n = {ENUMERATION_CAP}")
+    _check_n(n)
     pats = [g for g in family.forbidden if g.order <= n]
     feasible = [
         any(all(contains_induced(g, pat) is None for pat in pats) for g in hosts)

@@ -99,8 +99,7 @@ def complement(g: Graph) -> Graph:
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Place b after a with no cross edges."""
     n = a.order + b.order
-    if n > MAX_ORDER:
-        raise CapacityError(f"union order {n} exceeds the cap of {MAX_ORDER} vertices")
+    _check_order(n)
     shifted = tuple([r << a.order for r in b.rows])
     return Graph(n, a.rows + shifted)
 
@@ -108,8 +107,7 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 def join(a: Graph, b: Graph) -> Graph:
     """Disjoint union plus all edges between the two parts."""
     n = a.order + b.order
-    if n > MAX_ORDER:
-        raise CapacityError(f"join order {n} exceeds the cap of {MAX_ORDER} vertices")
+    _check_order(n)
     bmask = ((1 << b.order) - 1) << a.order
     amask = (1 << a.order) - 1
     rows = tuple([r | bmask for r in a.rows] + [(r << a.order) | amask for r in b.rows])

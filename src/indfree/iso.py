@@ -4,20 +4,30 @@ Three entry points: canonical_form (an isomorphism-invariant relabeling,
 equal iff isomorphic), is_isomorphic, and contains_induced (the induced
 subgraph oracle returning an explicit embedding).
 
-canonical_form searches vertex orderings that respect a stable coloring
+One search over vertex orderings, _least_code, serves canonical_form and
+_automorphisms. It tries the orderings that respect a stable coloring
 and keeps the lexicographically least adjacency code. The coloring is
 iterated neighbor-color refinement, which on its own does not decide
 isomorphism; the ordering search closes the gap, so the result is exact.
-The package canonicalizes patterns and enumerated graphs of at most 8
-vertices. contains_induced runs on witness hosts of up to 64 vertices;
-both searches skip twin vertices, and contains_induced also skips whole
-twin classes that a host automorphism exchanges. The H- and Q-shaped
-hosts the constructions build, and their complements, are cographs made
-of a few such classes, so on them one failed candidate rules out a
-whole group of exchangeable classes at a slot. No bound is proved: the
-README gives measured verify times on these hosts. Both searches stay
-exponential in the worst case, for example on large regular hosts with
-no twins.
+canonical_form reads its output graph off the least code, and
+_automorphisms reads Aut(g) off the orderings that tie for it.
+
+canonical_form's run skips twins but is otherwise factorial in the size
+of the color cells. It runs on every graph FamilySpec is given, up to 64
+vertices, not only on enumerated graphs of at most 8: cycles, with one
+cell and no twins, take about 2.6 s at 14 vertices on a 2-core Xeon VM
+under Python 3.11, and `indfree pairs cycle:20 -n 5` was stopped there
+after 90 s. ROADMAP item 2, automorphism pruning at tied leaves, is the
+planned fix.
+
+contains_induced runs on witness hosts of up to 64 vertices. It skips
+twin vertices and whole twin classes that a host automorphism
+exchanges. The H- and Q-shaped hosts the constructions build, and their
+complements, are cographs made of a few such classes, so on them one
+failed candidate rules out a whole group of exchangeable classes at a
+slot. No bound is proved: the README gives measured verify times on
+these hosts. The search stays exponential in the worst case, for
+example on large regular hosts with no twins.
 """
 
 from __future__ import annotations
@@ -76,46 +86,6 @@ def wl_colors(g: Graph) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Every automorphism of g, each as perm with perm[v] the image of v.
-
-    Maps vertices 0, 1, ... in turn, each to an unused vertex of its own
-    wl_colors cell whose adjacency to the images so far matches its own.
-    """
-    colors = wl_colors(g)
-    cells = [0] * (max(colors, default=0) + 1)
-    for v, c in enumerate(colors):
-        cells[c] |= 1 << v
-    out: list[tuple[int, ...]] = []
-    _map_from(0, 0, g.rows, [cells[c] for c in colors], [], out)
-    return out
-
-
-def _map_from(
-    v: int,
-    used: int,
-    rows: tuple[int, ...],
-    cell_of: list[int],
-    perm: list[int],
-    out: list[tuple[int, ...]],
-) -> None:
-    """Append to out every automorphism extending the map perm of 0..v-1."""
-    if v == len(rows):
-        out.append(tuple(perm))
-        return
-    r = rows[v]
-    cand = cell_of[v] & ~used
-    while cand:
-        lsb = cand & -cand
-        cand ^= lsb
-        w = lsb.bit_length() - 1
-        rw = rows[w]
-        if all(r >> u & 1 == rw >> x & 1 for u, x in enumerate(perm)):
-            perm.append(w)
-            _map_from(v + 1, used | lsb, rows, cell_of, perm, out)
-            perm.pop()
-
-
 def _twin_masks(rows: tuple[int, ...]) -> list[int]:
     """For each vertex, the mask of its twins, itself included.
 
@@ -171,25 +141,15 @@ _INF = 1 << 70
 def canonical_form(g: Graph) -> Graph:
     """Canonical representative: equal for two graphs iff they are isomorphic.
 
-    Branch and bound over orderings consistent with wl_colors (cells in
-    color order, one cell at a time). The code of an ordering is the
-    per-vertex tuple of adjacency bits toward earlier vertices; the least
-    code over all explored orderings defines the output graph. Placing a
-    vertex twin to one already tried at the same slot cannot change the
-    best completion, so twins are skipped; that keeps cliques, stars and
+    The graph with the least code _least_code finds. Placing a twin of a
+    vertex already tried at the same slot cannot change the best
+    completion, so twins are skipped; that keeps cliques, stars and
     near-complete graphs linear instead of factorial.
     """
     n = g.order
     if n <= 1:
         return g
-    colors = wl_colors(g)
-    cells = [0] * (max(colors) + 1)
-    for v, c in enumerate(colors):
-        cells[c] |= 1 << v
-    slots = [cells[c] for c in sorted(colors)]
-    best = [_INF] * n
-    _least_code(0, 0, slots, g.rows, _twin_masks(g.rows), best, [])
-
+    best = _search(g, _twin_masks(g.rows), [])
     out = [0] * n
     for i in range(n):
         code = best[i]
@@ -200,6 +160,37 @@ def canonical_form(g: Graph) -> Graph:
     return Graph(n, tuple(out))
 
 
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, each as perm with perm[v] the image of v.
+
+    canonical_form's search, skipping no twins, reaches every ordering
+    with the least code. Two such orderings a and b give one graph, so
+    sending a[i] to b[i] for each i is an automorphism, and an
+    automorphism, keeping wl_colors and codes, maps a onto another. So
+    the maps from the first tied leaf to each one are all of Aut(g).
+    """
+    leaves: list[tuple[int, ...]] = []
+    _search(g, [1 << v for v in range(g.order)], leaves)
+    slot = [0] * g.order
+    for i, v in enumerate(leaves[0]):
+        slot[v] = i
+    return [tuple([leaf[i] for i in slot]) for leaf in leaves]
+
+
+def _search(g: Graph, twins: list[int], leaves: list[tuple[int, ...]]) -> list[int]:
+    """The least code, one int per slot, over orderings that fill the
+    wl_colors cells in color order; leaves gets the orderings reaching it."""
+    n = g.order
+    colors = wl_colors(g)
+    cells = [0] * (max(colors, default=0) + 1)
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    slots = [cells[c] for c in sorted(colors)]
+    best = [_INF] * n
+    _least_code(0, 0, slots, g.rows, twins, best, [], leaves)
+    return best
+
+
 def _least_code(
     i: int,
     used: int,
@@ -208,10 +199,18 @@ def _least_code(
     twins: list[int],
     best: list[int],
     placed: list[int],
+    leaves: list[tuple[int, ...]],
 ) -> None:
-    """Lower best[i:] to the least codes reachable from the placed prefix."""
+    """Lower best[i:] to the least codes reachable from the placed prefix.
+
+    An ordering's code at a slot is its vertex's adjacency bits toward
+    the earlier ones; a branch is cut where its code exceeds best. A
+    leaf reached ties best everywhere and goes to leaves, which a drop
+    of best clears. twins[v] is skipped once v has been tried.
+    """
     n = len(best)
     if i == n:
+        leaves.append(tuple(placed))
         return
     cand = slots[i] & ~used
     while cand:
@@ -228,8 +227,9 @@ def _least_code(
             best[i] = code
             for j in range(i + 1, n):
                 best[j] = _INF
+            leaves.clear()
         placed.append(v)
-        _least_code(i + 1, used | lsb, slots, rows, twins, best, placed)
+        _least_code(i + 1, used | lsb, slots, rows, twins, best, placed, leaves)
         placed.pop()
 
 

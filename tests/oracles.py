@@ -8,7 +8,9 @@ construction references build from edge lists, sharing no code with the
 library's base64 codec or its row-mask constructions. The H-graph
 recogniser reference is the library's earlier one, which reads the
 shape off an induced core subgraph and its complement rather than off
-the row masks.
+the row masks. The automorphism reference is the library's earlier
+search, which maps vertices in label order instead of reading Aut(g)
+off the canonical-form search's tied leaves.
 """
 
 from __future__ import annotations
@@ -67,6 +69,47 @@ def apply_perm(g: Graph, perm) -> Graph:
 def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
     """Every permutation that apply_perm maps onto g itself."""
     return {p for p in permutations(range(g.order)) if apply_perm(g, p) == g}
+
+
+def reference_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, each as perm with perm[v] the image of v.
+
+    Maps vertices 0, 1, ... in turn, each to an unused vertex of its own
+    reference_wl_colors cell whose adjacency to the images so far
+    matches its own.
+    """
+    colors = reference_wl_colors(g)
+    cells = [0] * (max(colors, default=0) + 1)
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    out: list[tuple[int, ...]] = []
+    _map_from(0, 0, g.rows, [cells[c] for c in colors], [], out)
+    return out
+
+
+def _map_from(
+    v: int,
+    used: int,
+    rows: tuple[int, ...],
+    cell_of: list[int],
+    perm: list[int],
+    out: list[tuple[int, ...]],
+) -> None:
+    """Append to out every automorphism extending the map perm of 0..v-1."""
+    if v == len(rows):
+        out.append(tuple(perm))
+        return
+    r = rows[v]
+    cand = cell_of[v] & ~used
+    while cand:
+        lsb = cand & -cand
+        cand ^= lsb
+        w = lsb.bit_length() - 1
+        rw = rows[w]
+        if all(r >> u & 1 == rw >> x & 1 for u, x in enumerate(perm)):
+            perm.append(w)
+            _map_from(v + 1, used | lsb, rows, cell_of, perm, out)
+            perm.pop()
 
 
 def brute_is_isomorphic(a: Graph, b: Graph) -> bool:

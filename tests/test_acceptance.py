@@ -109,9 +109,9 @@ def test_criterion_2_tnf_converse():
                 table = feasible_pairs(fam, n)
                 bad = {m for m, m_ok in enumerate(table.feasible) if not m_ok}
                 region, exact = tnf_infeasible_region(kind, k, n)
-                ok = ok and region <= bad
+                ok = ok and set(region) <= bad
                 if exact:
-                    ok = ok and region == bad
+                    ok = ok and set(region) == bad
                 if n >= k:
                     ok = ok and bool(bad)
                 checked += 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -268,13 +269,13 @@ def test_turan_values():
 
 def test_region_clique_exact():
     region, exact = tnf_infeasible_region(TnfKind.CLIQUE, 3, 5)
-    assert region == {7, 8, 9, 10}
+    assert set(region) == {7, 8, 9, 10}
     assert exact
 
 
 def test_region_clique_minus_edge():
     region, exact = tnf_infeasible_region(TnfKind.CLIQUE_MINUS_EDGE, 4, 6)
-    assert region == {13, 14}
+    assert set(region) == {13, 14}
     assert not exact
 
 
@@ -282,18 +283,29 @@ def test_region_empty_mirrors_clique():
     clique, _ = tnf_infeasible_region(TnfKind.CLIQUE, 3, 6)
     mirror, exact = tnf_infeasible_region(TnfKind.EMPTY, 3, 6)
     assert exact
-    assert mirror == {15 - m for m in clique}
+    assert set(mirror) == {15 - m for m in clique}
 
 
 def test_region_empty_plus_edge_mirrors_minus_edge():
     minus, _ = tnf_infeasible_region(TnfKind.CLIQUE_MINUS_EDGE, 4, 7)
     plus, _ = tnf_infeasible_region(TnfKind.EMPTY_PLUS_EDGE, 4, 7)
-    assert plus == {21 - m for m in minus}
+    assert set(plus) == {21 - m for m in minus}
 
 
 def test_region_pattern_bigger_than_host_is_empty():
     region, _ = tnf_infeasible_region(TnfKind.CLIQUE_MINUS_EDGE, 6, 4)
-    assert region == set()
+    assert set(region) == set()
+
+
+def test_region_memory_does_not_grow_with_its_size():
+    tracemalloc.start()
+    try:
+        region, exact = tnf_infeasible_region(TnfKind.CLIQUE, 3, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (region[0], region[-1], len(region), exact) == (1000001, 1999000, 999000, True)
+    assert peak < 1 << 20
 
 
 def test_region_parameter_errors():

@@ -26,6 +26,12 @@ from indfree.cli import EXIT_CODES, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+# child interpreters import the package from this checkout's src
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])),
+}
 
 
 def run(capsys, *argv):
@@ -247,6 +253,18 @@ def test_pairs_capacity_exit(capsys):
     assert code == 4
 
 
+def test_pairs_checks_the_cap_before_canonicalizing(capsys, monkeypatch):
+    def refuse(g):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr("indfree.enumeration.canonical_form", refuse)
+    code, _, err = run(capsys, "pairs", "cycle:16", "-n", "9")
+    assert code == 4
+    assert "caps at n = 8" in err
+    code, _, _ = run(capsys, "pairs", "cycle:16", "-n", "-1")
+    assert code == 3
+
+
 def test_pairs_needs_a_graph(capsys):
     code, _, err = run(capsys, "pairs", "-n", "5")
     assert code == 2
@@ -284,6 +302,12 @@ def test_bounds_human(capsys):
     code, out, _ = run(capsys, "bounds", "EmptyPlusEdge", "4", "7")
     assert code == 0
     assert "known infeasible" in out
+
+
+def test_bounds_human_at_large_n(capsys):
+    code, out, _ = run(capsys, "bounds", "Clique", "3", "20000")
+    assert code == 0
+    assert "known infeasible m: [100000001, 199990000]" in out
 
 
 def test_bounds_parameter_exit(capsys):
@@ -374,6 +398,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "indfree", "classify", "paw"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "Feasible" in proc.stdout
@@ -396,6 +421,7 @@ def test_closed_stdout_exits_8_without_traceback(argv):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=CHILD_ENV,
         )
     finally:
         os.close(write_end)

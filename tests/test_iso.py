@@ -27,6 +27,7 @@ from oracles import (
     brute_automorphisms,
     brute_contains_induced,
     brute_is_isomorphic,
+    reference_automorphisms,
 )
 
 RNG = random.Random(20240901)
@@ -55,6 +56,16 @@ def test_automorphisms_match_brute_force():
                 auts = _automorphisms(h)
                 assert len(set(auts)) == len(auts)
                 assert set(auts) == brute_automorphisms(h), h
+
+
+def test_automorphisms_match_reference_on_every_class_on_7_vertices():
+    for g in enumerate_nonisomorphic(7):
+        perm = list(range(7))
+        RNG.shuffle(perm)
+        for h in (g, apply_perm(g, tuple(perm))):
+            auts = _automorphisms(h)
+            assert len(set(auts)) == len(auts)
+            assert set(auts) == set(reference_automorphisms(h)), h
 
 
 def test_canonical_idempotent():

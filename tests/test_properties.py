@@ -1,7 +1,9 @@
+from collections import Counter
 from itertools import combinations
+from math import factorial, prod
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from indfree import (
     Graph,
@@ -25,10 +27,11 @@ from indfree import (
     witness,
     wl_colors,
 )
-from indfree.iso import _partner_blocks, _twin_masks
+from indfree.iso import _automorphisms, _partner_blocks, _twin_masks
 from oracles import (
     apply_perm,
     brute_contains_induced,
+    reference_automorphisms,
     reference_recognize_h,
     reference_wl_colors,
 )
@@ -188,6 +191,17 @@ def test_contains_induced_on_block_hosts_matches_brute_force(host, pattern):
         assert len(set(emb.map)) == pattern.order
         for i, j in combinations(range(pattern.order), 2):
             assert pattern.has_edge(i, j) == host.has_edge(emb.map[i], emb.map[j])
+
+
+@given(st.one_of(twin_blowups(), block_blowups(max_order=10)))
+@settings(max_examples=200, deadline=None)
+def test_automorphisms_match_reference(g):
+    # automorphisms keep wl_colors, so the product of the factorials of
+    # the cell sizes bounds |Aut(g)|; bigger groups take seconds to list
+    assume(prod(map(factorial, Counter(wl_colors(g)).values())) <= 5040)
+    auts = _automorphisms(g)
+    assert len(set(auts)) == len(auts)
+    assert set(auts) == set(reference_automorphisms(g))
 
 
 def members(mask):
