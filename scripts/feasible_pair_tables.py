@@ -19,7 +19,6 @@ import sys
 
 from indfree import (
     ENUMERATION_CAP,
-    CapacityError,
     FamilySpec,
     IndfreeError,
     RangeError,
@@ -28,6 +27,7 @@ from indfree import (
     table_to_csv,
 )
 from indfree.cli import fail
+from indfree.enumeration import _check_n
 
 
 def strip(table):
@@ -63,12 +63,10 @@ def main(argv=None):
 
 
 def tabulate(args):
-    if args.n_min < 0:
-        raise RangeError(f"vertex counts must be non-negative, got {args.n_min}")
     if args.n_min > args.n_max:
         raise RangeError(f"empty order range {args.n_min}..{args.n_max}")
-    if args.n_max > ENUMERATION_CAP:
-        raise CapacityError(f"exact tables cap at n = {ENUMERATION_CAP}, got {args.n_max}")
+    _check_n(args.n_min)
+    _check_n(args.n_max)
     family = FamilySpec([parse_graph(s) for s in args.specs])
     print("forbidden:", ", ".join(args.specs))
 

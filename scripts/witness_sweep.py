@@ -7,19 +7,27 @@ those), build a witness for every pair (n, m) with n <= max-n and
 0 <= m <= C(n, 2), re-checking each output with the embedding oracle.
 The tally shows which construction served each class and confirms, at
 desk scale, that every non-blocked pattern admits the full pair range.
+Both bounds are checked before any sweep, and every failure exits with
+the exit code the indfree command gives it (3 or 7 a negative bound,
+4 over a cap, 8 stdout not written) and no traceback.
 """
 
 import argparse
+import sys
 import time
 from collections import Counter
 
 from indfree import (
     ClassTag,
+    IndfreeError,
     classify,
     encode_graph6,
     enumerate_nonisomorphic,
     witness,
 )
+from indfree.cli import fail
+from indfree.enumeration import _check_n
+from indfree.graphs import _check_order
 
 
 def sweep_pattern(pattern, max_n):
@@ -31,7 +39,7 @@ def sweep_pattern(pattern, max_n):
     return tally
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Build and verify witnesses for every small forbidden pattern."
     )
@@ -43,8 +51,19 @@ def main():
         "--max-n", type=int, default=10,
         help="largest witness order to cover (default 10)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        sweep(args)
+        # a closed stdout shows here, not in the flush at exit
+        sys.stdout.flush()
+    except (IndfreeError, OSError) as e:
+        return fail(e)
+    return 0
 
+
+def sweep(args):
+    _check_n(args.max_order)
+    _check_order(args.max_n)
     start = time.perf_counter()
     patterns = 0
     blocked = 0
@@ -68,4 +87,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

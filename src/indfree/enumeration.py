@@ -26,7 +26,7 @@ from typing import Iterator
 from .errors import CapacityError, RangeError, ValidationError
 from .graph6 import encode_graph6
 from .graphs import Graph
-from .iso import _automorphisms, canonical_form, contains_induced
+from .iso import _aut_generators, canonical_form, contains_induced
 
 ENUMERATION_CAP = 8
 
@@ -56,6 +56,12 @@ def _reps(n: int) -> tuple[Graph, ...]:
     skipped one, and that automorphism, fixing the new vertex, is an
     isomorphism between the two children, so the skipped child's class
     is already kept and neither the set nor the order changes.
+
+    Aut(P) comes as generators from _aut_generators, not as a list of
+    its elements. An orbit is the closure of its least mask under the
+    generators, since every automorphism is a product of them and Aut(P)
+    is finite, so a worklist that applies each generator to each mask it
+    reaches marks exactly the orbit.
     """
     if n == 0:
         return (Graph(0, ()),)
@@ -63,17 +69,27 @@ def _reps(n: int) -> tuple[Graph, ...]:
     out = []
     for parent in _reps(n - 1):
         prows = parent.rows
-        auts = _automorphisms(parent)
+        # images[k][mask]: the image of mask under the k-th generator
+        images = []
+        for perm in _aut_generators(parent):
+            img = [0]
+            for v in range(n - 1):
+                bit = 1 << perm[v]
+                img += [s | bit for s in img]
+            images.append(img)
         met = bytearray(1 << (n - 1))
         for mask in range(1 << (n - 1)):
             if met[mask]:
                 continue
-            members = [v for v in range(n - 1) if mask >> v & 1]
-            for perm in auts:
-                s = 0
-                for v in members:
-                    s |= 1 << perm[v]
-                met[s] = 1
+            met[mask] = 1
+            todo = [mask]
+            while todo:
+                m = todo.pop()
+                for img in images:
+                    s = img[m]
+                    if not met[s]:
+                        met[s] = 1
+                        todo.append(s)
             rows = [prows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
             rows.append(mask)
             c = canonical_form(Graph(n, tuple(rows)))

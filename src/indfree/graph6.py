@@ -87,7 +87,7 @@ def decode_graph6(text: str) -> Graph:
     need = pos + (nbits + 5) // 6
     if len(text) != need:
         raise ParseError(
-            f"graph6 string for order {n} needs {need} bytes, got {len(text)}",
+            f"graph6 string for order {n} needs {need} bytes, got {byte_offset(text, len(text))}",
             min(len(text), need),
         )
     body = text[pos:]

@@ -5,15 +5,17 @@ equal iff isomorphic), is_isomorphic, and contains_induced (the induced
 subgraph oracle returning an explicit embedding).
 
 One search over vertex orderings, _least_code, serves canonical_form and
-_automorphisms. It tries the orderings that respect a stable coloring
-and keeps the lexicographically least adjacency code. The coloring is
-iterated neighbor-color refinement, which on its own does not decide
-isomorphism; the ordering search closes the gap, so the result is exact.
-canonical_form reads its output graph off the least code, and
-_automorphisms reads Aut(g) off the orderings that tie for it.
+_aut_generators. It tries the orderings that respect a stable coloring,
+skipping twins, and keeps the lexicographically least adjacency code.
+The coloring is iterated neighbor-color refinement, which on its own
+does not decide isomorphism; the ordering search closes the gap, so the
+result is exact. canonical_form reads its output graph off the least
+code. _aut_generators reads generators of Aut(g) off the orderings that
+tie for it and the twin swaps the search skips; the skips hide some
+tied orderings, so these generate Aut(g) without listing it.
 
-canonical_form's run skips twins but is otherwise factorial in the size
-of the color cells. It runs on every graph FamilySpec is given, up to 64
+The search skips twins but is otherwise factorial in the size of the
+color cells. It runs on every graph FamilySpec is given, up to 64
 vertices, not only on enumerated graphs of at most 8: cycles, with one
 cell and no twins, take about 2.6 s at 14 vertices on a 2-core Xeon VM
 under Python 3.11, and `indfree pairs cycle:20 -n 5` was stopped there
@@ -149,7 +151,7 @@ def canonical_form(g: Graph) -> Graph:
     n = g.order
     if n <= 1:
         return g
-    best = _search(g, _twin_masks(g.rows), [])
+    best = _search(g, [])
     out = [0] * n
     for i in range(n):
         code = best[i]
@@ -160,26 +162,41 @@ def canonical_form(g: Graph) -> Graph:
     return Graph(n, tuple(out))
 
 
-def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Every automorphism of g, each as perm with perm[v] the image of v.
+def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each as perm with perm[v] the image of v.
 
-    canonical_form's search, skipping no twins, reaches every ordering
-    with the least code. Two such orderings a and b give one graph, so
-    sending a[i] to b[i] for each i is an automorphism, and an
-    automorphism, keeping wl_colors and codes, maps a onto another. So
-    the maps from the first tied leaf to each one are all of Aut(g).
+    Two kinds: the map from the first ordering that reaches the least
+    code in canonical_form's search to each later one, and for each twin
+    class the transpositions of consecutive members. Two tied orderings a and
+    b give one graph, so sending a[i] to b[i] is an automorphism, and
+    Aut(g) maps the tied orderings of the unpruned search onto each
+    other, one to one. The search misses a tied ordering only where it
+    skipped a vertex v for a lower twin u tried at that slot; swapping u
+    and v fixes the placed prefix and keeps codes and wl_colors, so it
+    maps the missed ordering to a tied one that is less in label order.
+    By induction every tied ordering, and so every automorphism, is
+    reached from the first leaf by the two kinds together.
     """
+    n = g.order
     leaves: list[tuple[int, ...]] = []
-    _search(g, [1 << v for v in range(g.order)], leaves)
-    slot = [0] * g.order
+    _search(g, leaves)
+    slot = [0] * n
     for i, v in enumerate(leaves[0]):
         slot[v] = i
-    return [tuple([leaf[i] for i in slot]) for leaf in leaves]
+    gens = [tuple([leaf[i] for i in slot]) for leaf in leaves[1:]]
+    for cls in set(_twin_masks(g.rows)):
+        members = [v for v in range(n) if cls >> v & 1]
+        for u, v in zip(members, members[1:]):
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            gens.append(tuple(perm))
+    return gens
 
 
-def _search(g: Graph, twins: list[int], leaves: list[tuple[int, ...]]) -> list[int]:
+def _search(g: Graph, leaves: list[tuple[int, ...]]) -> list[int]:
     """The least code, one int per slot, over orderings that fill the
-    wl_colors cells in color order; leaves gets the orderings reaching it."""
+    wl_colors cells in color order, skipping twins; leaves gets the
+    orderings reaching it."""
     n = g.order
     colors = wl_colors(g)
     cells = [0] * (max(colors, default=0) + 1)
@@ -187,7 +204,7 @@ def _search(g: Graph, twins: list[int], leaves: list[tuple[int, ...]]) -> list[i
         cells[c] |= 1 << v
     slots = [cells[c] for c in sorted(colors)]
     best = [_INF] * n
-    _least_code(0, 0, slots, g.rows, twins, best, [], leaves)
+    _least_code(0, 0, slots, g.rows, _twin_masks(g.rows), best, [], leaves)
     return best
 
 

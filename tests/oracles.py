@@ -10,7 +10,8 @@ recogniser reference is the library's earlier one, which reads the
 shape off an induced core subgraph and its complement rather than off
 the row masks. The automorphism reference is the library's earlier
 search, which maps vertices in label order instead of reading Aut(g)
-off the canonical-form search's tied leaves.
+off the canonical-form search's tied leaves; generated_group closes the
+library's generators under composition so the two can be compared.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from indfree import (
     induced_subgraph,
     make_graph,
 )
+from indfree.errors import byte_offset
 
 _SHORT_MAX = 62
 
@@ -69,6 +71,20 @@ def apply_perm(g: Graph, perm) -> Graph:
 def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
     """Every permutation that apply_perm maps onto g itself."""
     return {p for p in permutations(range(g.order)) if apply_perm(g, p) == g}
+
+
+def generated_group(gens, n: int) -> set[tuple[int, ...]]:
+    """Every product of the permutations gens of range(n), identity included."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple([g[v] for v in p])
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
 
 
 def reference_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -262,7 +278,7 @@ def reference_decode_graph6(text: str) -> Graph:
     need = pos + (n * (n - 1) // 2 + 5) // 6
     if len(text) != need:
         raise ParseError(
-            f"graph6 string for order {n} needs {need} bytes, got {len(text)}",
+            f"graph6 string for order {n} needs {need} bytes, got {byte_offset(text, len(text))}",
             min(len(text), need),
         )
     rows = [0] * n

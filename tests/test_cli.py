@@ -364,6 +364,9 @@ def test_decode_offset_counts_bytes_as_typed(capsys, text, offset):
     code, _, err = run(capsys, "decode", text)
     assert code == 2
     assert err.rstrip().endswith(f"(at byte {offset})")
+    if text == "\u00a0D\u00e9??":
+        # the length, too, counts the 5 bytes after the blank
+        assert err == "error: graph6 string for order 5 needs 3 bytes, got 5 (at byte 6)\n"
     code, _, err = run(capsys, "classify", text)
     assert code == 2
     assert err.rstrip().endswith(f"(at byte {offset})")
@@ -409,8 +412,9 @@ def test_module_entry_point():
     [
         ["-m", "indfree", "pairs", "paw", "-n", "6", "--json"],
         [str(SCRIPTS_DIR / "feasible_pair_tables.py"), "paw", "--n-max", "5"],
+        [str(SCRIPTS_DIR / "witness_sweep.py"), "--max-order", "4", "--max-n", "4"],
     ],
-    ids=["cli", "tables-script"],
+    ids=["cli", "tables-script", "sweep-script"],
 )
 def test_closed_stdout_exits_8_without_traceback(argv):
     read_end, write_end = os.pipe()
@@ -427,6 +431,7 @@ def test_closed_stdout_exits_8_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 8
     assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
 

@@ -25,6 +25,7 @@ from indfree import (
     table_to_csv,
     table_to_json,
 )
+from indfree import enumeration
 from oracles import orbit_class_count, orbit_size_total
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -52,6 +53,29 @@ def test_class_sequence_is_pinned():
     for n, want in CLASS_SEQUENCE_SHA256.items():
         text = "\n".join(encode_graph6(g) for g in enumerate_nonisomorphic(n))
         assert hashlib.sha256(text.encode()).hexdigest() == want, n
+
+
+# children _reps canonicalizes at each order, one per orbit of each
+# parent's automorphism group on neighbourhood masks; an incomplete
+# generator set splits orbits and raises these, while the class digests
+# above cannot see it
+CHILDREN_CANONICALIZED = {1: 1, 2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79264}
+
+
+def test_reps_canonicalizes_one_child_per_orbit(monkeypatch):
+    enumeration._reps(7)
+    calls = []
+    # the count depends on the parents and their orbits only, so the
+    # children are counted and returned as they are, not canonicalized
+    monkeypatch.setattr(enumeration, "canonical_form", lambda g: calls.append(g) or g)
+    got = {}
+    for n in CHILDREN_CANONICALIZED:
+        calls.clear()
+        # the uncached body, discarded; the parents come from the cache
+        enumeration._reps.__wrapped__(n)
+        got[n] = len(calls)
+    assert got == CHILDREN_CANONICALIZED
+    assert sum(got.values()) == 85023
 
 
 def test_counts_confirmed_by_orbit_brute_force():

@@ -8,14 +8,16 @@ from indfree import FamilySpec, feasible_pairs, parse_graph, table_to_csv
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.fixture(scope="module")
-def tables_script():
-    spec = importlib.util.spec_from_file_location(
-        "feasible_pair_tables", SCRIPTS / "feasible_pair_tables.py"
-    )
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.fixture(scope="module")
+def tables_script():
+    return load_script("feasible_pair_tables")
 
 
 @pytest.mark.parametrize(
@@ -32,6 +34,20 @@ def test_tables_script_errors_before_any_table(tables_script, capsys, argv, code
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def sweep_script():
+    return load_script("witness_sweep")
+
+
+@pytest.mark.parametrize("argv", [["--max-order", "9"], ["--max-n", "65"]])
+def test_sweep_script_errors_before_any_sweep(sweep_script, capsys, argv):
+    assert sweep_script.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_tables_script_csv_is_table_to_csv(tables_script, capsys, tmp_path):
