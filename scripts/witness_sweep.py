@@ -8,8 +8,10 @@ those), build a witness for every pair (n, m) with n <= max-n and
 The tally shows which construction served each class and confirms, at
 desk scale, that every non-blocked pattern admits the full pair range.
 Both bounds are checked before any sweep, and every failure exits with
-the exit code the indfree command gives it (3 or 7 a negative bound,
-4 over a cap, 8 stdout not written) and no traceback.
+the exit code the indfree command gives it (3 a negative bound, 4 over
+a cap, 8 stdout not written) and no traceback. Each line is flushed as
+it is printed, so a reader that goes away stops the sweep at the next
+pattern.
 """
 
 import argparse
@@ -26,6 +28,7 @@ from indfree import (
     witness,
 )
 from indfree.cli import fail
+from indfree.constructions import _check_pair
 from indfree.enumeration import _check_n
 from indfree.graphs import _check_order
 
@@ -54,8 +57,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         sweep(args)
-        # a closed stdout shows here, not in the flush at exit
-        sys.stdout.flush()
     except (IndfreeError, OSError) as e:
         return fail(e)
     return 0
@@ -63,6 +64,8 @@ def main(argv=None):
 
 def sweep(args):
     _check_n(args.max_order)
+    # the witness command's checks on n: RangeError below 0, then the cap
+    _check_pair(args.max_n, 0)
     _check_order(args.max_n)
     start = time.perf_counter()
     patterns = 0
@@ -78,11 +81,12 @@ def sweep(args):
             patterns += 1
             certificates += sum(tally.values())
             parts = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
-            print(f"{encode_graph6(g):>8}  order={order}  {cls.tag.value:<7} {parts}")
+            print(f"{encode_graph6(g):>8}  order={order}  {cls.tag.value:<7} {parts}", flush=True)
     elapsed = time.perf_counter() - start
     print(
         f"\n{patterns} patterns swept ({blocked} blocked shapes skipped), "
-        f"{certificates} certificates verified in {elapsed:.1f}s"
+        f"{certificates} certificates verified in {elapsed:.1f}s",
+        flush=True,
     )
 
 

@@ -4,15 +4,17 @@ Three entry points: canonical_form (an isomorphism-invariant relabeling,
 equal iff isomorphic), is_isomorphic, and contains_induced (the induced
 subgraph oracle returning an explicit embedding).
 
-One search over vertex orderings, _least_code, serves canonical_form and
+One search over vertex orderings, _search, serves canonical_form and
 _aut_generators. It tries the orderings that respect a stable coloring,
-skipping twins, and keeps the lexicographically least adjacency code.
-The coloring is iterated neighbor-color refinement, which on its own
-does not decide isomorphism; the ordering search closes the gap, so the
-result is exact. canonical_form reads its output graph off the least
-code. _aut_generators reads generators of Aut(g) off the orderings that
-tie for it and the twin swaps the search skips; the skips hide some
-tied orderings, so these generate Aut(g) without listing it.
+skipping twins, and keeps those with the lexicographically least
+adjacency code. The coloring is iterated neighbor-color refinement,
+which on its own does not decide isomorphism; the ordering search
+closes the gap, so the result is exact. A discrete coloring, one vertex
+per color, allows one ordering, which is then the answer without any
+search. canonical_form relabels its graph by the first ordering found.
+_aut_generators reads generators of Aut(g) off the orderings that tie
+and the twin swaps the search skips; the skips hide some tied
+orderings, so these generate Aut(g) without listing it.
 
 The search skips twins but is otherwise factorial in the size of the
 color cells. It runs on every graph FamilySpec is given, up to 64
@@ -57,9 +59,18 @@ def wl_colors(g: Graph) -> tuple[int, ...]:
     neighbor colors until no class splits. Colors are ranks 0..c-1 in a
     label-independent order, so isomorphic graphs get matching colorings.
 
-    The multiset is kept as one count per color cell, negated, in color
-    order: v's key is (colors[v], (-|N(v) & cell| for each cell)). That
-    ranks vertices exactly as the sorted tuple of neighbor colors would.
+    Each round ranks cell by cell, in color order. A cell of one vertex
+    cannot split, so it gets the next rank and no key. In a larger cell,
+    v's key is one int of 7-bit fields 64 - |N(v) & cell|, one per cell
+    in color order; counts are at most 64, so the fields never carry and
+    the ints compare as the tuples of negated counts do. The cell's
+    vertices take the next ranks in key order, equal keys one rank.
+    These are the ranks of the key (colors[v], negated counts) over all
+    vertices: every vertex of a cell has the same first component, so
+    sorting those keys visits the cells in color order and, inside one,
+    sorts by the counts, and a lone vertex's key is unique whatever its
+    counts. That key in turn ranks vertices exactly as the sorted tuple
+    of neighbor colors would.
     Colors only ever refine the degree partition, so two keys with the
     same first component belong to vertices of equal degree, and their
     sorted neighbor-color tuples have equal length. Two such tuples first
@@ -67,24 +78,45 @@ def wl_colors(g: Graph) -> tuple[int, ...]:
     more c's is the smaller, as its negated count is.
     """
     rows = g.rows
+    n = g.order
     colors = list(g.degrees())
     rank = {c: i for i, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
     ncolors = len(rank)
     # a coloring with one vertex per color cannot split further
-    while ncolors < g.order:
+    while ncolors < n:
         cells = [0] * ncolors
         for v, c in enumerate(colors):
             cells[c] |= 1 << v
-        keys = [
-            (c, tuple([-(r & cell).bit_count() for cell in cells]))
-            for c, r in zip(colors, rows)
-        ]
-        krank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        colors = [krank[k] for k in keys]
-        if len(krank) == ncolors:
+        new = [0] * n
+        nxt = 0
+        for cell in cells:
+            if not cell & (cell - 1):
+                new[cell.bit_length() - 1] = nxt
+                nxt += 1
+                continue
+            keys = []
+            while cell:
+                lsb = cell & -cell
+                cell ^= lsb
+                v = lsb.bit_length() - 1
+                r = rows[v]
+                k = 0
+                for c in cells:
+                    k = k << 7 | 64 - (r & c).bit_count()
+                keys.append((k, v))
+            keys.sort()
+            prev = keys[0][0]
+            for k, v in keys:
+                if k != prev:
+                    nxt += 1
+                    prev = k
+                new[v] = nxt
+            nxt += 1
+        colors = new
+        if nxt == ncolors:
             break
-        ncolors = len(krank)
+        ncolors = nxt
     return tuple(colors)
 
 
@@ -143,22 +175,31 @@ _INF = 1 << 70
 def canonical_form(g: Graph) -> Graph:
     """Canonical representative: equal for two graphs iff they are isomorphic.
 
-    The graph with the least code _least_code finds. Placing a twin of a
-    vertex already tried at the same slot cannot change the best
-    completion, so twins are skipped; that keeps cliques, stars and
-    near-complete graphs linear instead of factorial.
+    g relabelled by the first ordering _search finds with the least
+    code, so vertex i of the output is that ordering's i-th vertex.
+    Placing a twin of a vertex already tried at the same slot cannot
+    change the best completion, so twins are skipped; that keeps
+    cliques, stars and near-complete graphs linear instead of factorial.
     """
     n = g.order
     if n <= 1:
         return g
-    best = _search(g, [])
-    out = [0] * n
-    for i in range(n):
-        code = best[i]
-        for j in range(i):
-            if code >> (i - 1 - j) & 1:
-                out[i] |= 1 << j
-                out[j] |= 1 << i
+    leaves: list[tuple[int, ...]] = []
+    _search(g, wl_colors(g), leaves)
+    # bit[v]: v's bit in the output
+    bit = [0] * n
+    for i, v in enumerate(leaves[0]):
+        bit[v] = 1 << i
+    rows = g.rows
+    out = []
+    for v in leaves[0]:
+        r = rows[v]
+        row = 0
+        while r:
+            lsb = r & -r
+            r ^= lsb
+            row |= bit[lsb.bit_length() - 1]
+        out.append(row)
     return Graph(n, tuple(out))
 
 
@@ -179,7 +220,7 @@ def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
     """
     n = g.order
     leaves: list[tuple[int, ...]] = []
-    _search(g, leaves)
+    _search(g, wl_colors(g), leaves)
     slot = [0] * n
     for i, v in enumerate(leaves[0]):
         slot[v] = i
@@ -193,19 +234,20 @@ def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-def _search(g: Graph, leaves: list[tuple[int, ...]]) -> list[int]:
-    """The least code, one int per slot, over orderings that fill the
-    wl_colors cells in color order, skipping twins; leaves gets the
-    orderings reaching it."""
+def _search(g: Graph, colors: tuple[int, ...], leaves: list[tuple[int, ...]]) -> None:
+    """Append to leaves the orderings with the least code, over those that
+    fill the cells of colors, g's wl_colors, in color order, skipping
+    twins. A discrete coloring allows one ordering, so it is the answer
+    and no code is compared."""
     n = g.order
-    colors = wl_colors(g)
-    cells = [0] * (max(colors, default=0) + 1)
+    cells = [0] * (max(colors, default=-1) + 1)
     for v, c in enumerate(colors):
         cells[c] |= 1 << v
+    if len(cells) == n:
+        leaves.append(tuple([c.bit_length() - 1 for c in cells]))
+        return
     slots = [cells[c] for c in sorted(colors)]
-    best = [_INF] * n
-    _least_code(0, 0, slots, g.rows, _twin_masks(g.rows), best, [], leaves)
-    return best
+    _least_code(0, 0, slots, g.rows, _twin_masks(g.rows), [_INF] * n, [], leaves)
 
 
 def _least_code(

@@ -11,7 +11,12 @@ shape off an induced core subgraph and its complement rather than off
 the row masks. The automorphism reference is the library's earlier
 search, which maps vertices in label order instead of reading Aut(g)
 off the canonical-form search's tied leaves; generated_group closes the
-library's generators under composition so the two can be compared.
+library's generators under composition so the two can be compared. The
+canonical-form reference is the library's earlier one on the reference
+coloring, without its twin skips: it tries every ordering of each color
+cell and reads its graph off the least code bit by bit, where the
+library relabels by its first leaf and takes a discrete coloring as
+the ordering.
 """
 
 from __future__ import annotations
@@ -50,6 +55,63 @@ def reference_wl_colors(g: Graph) -> tuple[int, ...]:
         if len(krank) == len(set(colors)):
             return tuple(new)
         colors = new
+
+
+def reference_canonical_form(g: Graph) -> Graph:
+    """Reference for canonical_form: the library's earlier one, which reads
+    its graph off the least code bit by bit, on reference_wl_colors.
+
+    The least-code search tries every ordering that fills the color
+    cells in color order, with no twin skips and no shortcut for a
+    discrete coloring, so it is factorial in the cell sizes.
+    """
+    n = g.order
+    if n <= 1:
+        return g
+    colors = reference_wl_colors(g)
+    cells = [0] * (max(colors) + 1)
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    best = [1 << 70] * n
+    _least_code_from(0, 0, [cells[c] for c in sorted(colors)], g.rows, best, [])
+    out = [0] * n
+    for i in range(n):
+        for j in range(i):
+            if best[i] >> (i - 1 - j) & 1:
+                out[i] |= 1 << j
+                out[j] |= 1 << i
+    return Graph(n, tuple(out))
+
+
+def _least_code_from(
+    i: int,
+    used: int,
+    slots: list[int],
+    rows: tuple[int, ...],
+    best: list[int],
+    placed: list[int],
+) -> None:
+    """Lower best[i:] to the least codes of the orderings extending placed;
+    a slot's code is its vertex's adjacency bits toward the earlier ones."""
+    if i == len(best):
+        return
+    cand = slots[i] & ~used
+    while cand:
+        lsb = cand & -cand
+        cand ^= lsb
+        v = lsb.bit_length() - 1
+        code = 0
+        for u in placed:
+            code = code << 1 | (rows[v] >> u & 1)
+        if code > best[i]:
+            continue
+        if code < best[i]:
+            best[i] = code
+            for j in range(i + 1, len(best)):
+                best[j] = 1 << 70
+        placed.append(v)
+        _least_code_from(i + 1, used | lsb, slots, rows, best, placed)
+        placed.pop()
 
 
 def apply_perm(g: Graph, perm) -> Graph:

@@ -29,6 +29,7 @@ from oracles import (
     brute_is_isomorphic,
     generated_group,
     reference_automorphisms,
+    reference_canonical_form,
 )
 
 RNG = random.Random(20240901)
@@ -65,6 +66,17 @@ def test_automorphisms_match_reference_on_every_class_on_7_vertices():
         for h in (g, apply_perm(g, tuple(perm))):
             group = generated_group(_aut_generators(h), 7)
             assert group == set(reference_automorphisms(h)), h
+
+
+def test_canonical_form_matches_reference_on_every_class_up_to_7_vertices():
+    rng = random.Random(20261018)
+    for n in range(8):
+        for g in enumerate_nonisomorphic(n):
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = apply_perm(g, tuple(perm))
+                assert canonical_form(h) == reference_canonical_form(h) == g, h
 
 
 def test_canonical_idempotent():

@@ -33,6 +33,7 @@ from oracles import (
     brute_contains_induced,
     generated_group,
     reference_automorphisms,
+    reference_canonical_form,
     reference_recognize_h,
     reference_wl_colors,
 )
@@ -202,6 +203,15 @@ def test_automorphisms_match_reference(g):
     assume(prod(map(factorial, Counter(wl_colors(g)).values())) <= 5040)
     group = generated_group(_aut_generators(g), g.order)
     assert group == set(reference_automorphisms(g))
+
+
+@given(st.one_of(graphs(max_order=16), twin_blowups(), block_blowups()))
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_matches_reference(g):
+    # the reference tries every ordering of each wl_colors cell, as many
+    # as the product of the factorials of the cell sizes
+    assume(prod(map(factorial, Counter(wl_colors(g)).values())) <= 5040)
+    assert canonical_form(g) == reference_canonical_form(g)
 
 
 def members(mask):

@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,11 +43,54 @@ def sweep_script():
     return load_script("witness_sweep")
 
 
-@pytest.mark.parametrize("argv", [["--max-order", "9"], ["--max-n", "65"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-order", "9"], ["--max-n", "65"], ["--max-order", "-1"], ["--max-n", "-1"]],
+)
 def test_sweep_script_errors_before_any_sweep(sweep_script, capsys, argv):
-    assert sweep_script.main(argv) == 4
+    # exit 3 for a negative bound, 4 over a cap
+    assert sweep_script.main(argv) == (3 if argv[1] == "-1" else 4)
     out, err = capsys.readouterr()
     assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_script_stops_one_pattern_after_stdout_closes(sweep_script, monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    first = []
+    calls = 0
+    sweep_pattern = sweep_script.sweep_pattern
+
+    def counted(pattern, max_n):
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            # the reader takes what the first pattern printed and goes away
+            try:
+                first.append(os.read(read_end, 4096))
+            except BlockingIOError:
+                pass
+            os.close(read_end)
+        return sweep_pattern(pattern, max_n)
+
+    monkeypatch.setattr(sweep_script, "sweep_pattern", counted)
+    out = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", out)
+    try:
+        code = sweep_script.main(["--max-order", "4", "--max-n", "4"])
+    finally:
+        out.close()
+        if calls < 2:
+            os.close(read_end)
+    # seven patterns on 4 vertices are not blocked; the sweep stops at the
+    # second, whose line finds the reader gone
+    assert code == 8
+    assert calls == 2
+    assert len(first) == 1 and first[0].count(b"\n") == 1
+    assert b"order=4" in first[0]
+    err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
 
