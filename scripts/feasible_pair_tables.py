@@ -3,11 +3,12 @@
 
 Each row of output covers one vertex count: a strip with one character
 per edge count ('#' feasible, '.' infeasible), plus the least and
-greatest infeasible counts when a gap exists. The scan is exhaustive
-over isomorphism classes, so n is capped at 8. The range is checked
-before any table is computed, and every failure exits with the exit
-code the indfree command gives it (2 unparseable spec, 3 bad range,
-4 over the cap, 8 CSV or stdout not written) and no traceback.
+greatest infeasible counts when a gap exists. Each table is exact,
+computed over every isomorphism class on n vertices, so n is capped
+at 8. The range is checked before any table is computed, and every
+failure exits with the exit code the indfree command gives it (2
+unparseable spec, 3 bad range, 4 over the cap, 8 CSV or stdout not
+written) and no traceback.
 
 Example, the family that pins a gap around the middle of the range:
 

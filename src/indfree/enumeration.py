@@ -10,10 +10,14 @@ The classes come in a fixed order. For n <= 6 they are sorted by their
 labeled adjacency code (bit i for the i-th vertex pair in lexicographic
 order). For n >= 7 they come in order of first discovery: the classes
 on n - 1 vertices in their own order, each extended by one vertex with
-every neighbourhood mask in ascending order. The order is kept on
-purpose: feasible_pairs stops at the first feasible class of each edge
-count, so another order gives the same tables but may scan more hosts
-before it finds one.
+every neighbourhood mask in ascending order. The tables do not depend
+on the order; it is kept because enumerate_nonisomorphic's sequence is
+part of the interface.
+
+The tables need no embedding search. Enumerating each order from the
+one below visits every class's deck, the graphs left by deleting one
+vertex, so _reps records which classes extend which as bitmasks, and
+feasible_pairs reads each table off those masks.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Iterator
 from .errors import CapacityError, RangeError, ValidationError
 from .graph6 import encode_graph6
 from .graphs import Graph
-from .iso import _aut_generators, canonical_form, contains_induced
+from .iso import _aut_generators, canonical_form
 
 ENUMERATION_CAP = 8
 
@@ -40,8 +44,10 @@ def _check_n(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _reps(n: int) -> tuple[Graph, ...]:
-    """The canonical class representatives on n vertices, in class order.
+def _reps(n: int) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
+    """The canonical class representatives on n vertices, in class order,
+    and the masks up: bit i of up[j] is set when class i has class j of
+    _reps(n - 1) in its deck.
 
     Every order is built from the one below: each representative P on
     n - 1 vertices gets one new vertex with every neighbourhood mask in
@@ -62,12 +68,20 @@ def _reps(n: int) -> tuple[Graph, ...]:
     generators, since every automorphism is a product of them and Aut(P)
     is finite, so a worklist that applies each generator to each mask it
     reaches marks exactly the orbit.
+
+    Every child canonicalized sets its bit in its parent's mask, and so
+    every card of every class is recorded: for any vertex v of a class
+    C, C - v is isomorphic to some parent P, and C is then P plus one
+    vertex whose mask lies in one orbit of Aut(P), the orbit whose least
+    mask is canonicalized. The bits first follow the order of discovery,
+    so for n <= 6 the masks are rebuilt after the sort, with the bits at
+    the sorted positions.
     """
     if n == 0:
-        return (Graph(0, ()),)
-    seen: set[Graph] = set()
-    out = []
-    for parent in _reps(n - 1):
+        return (Graph(0, ()),), ()
+    index: dict[Graph, int] = {}
+    up = []
+    for parent in _reps(n - 1)[0]:
         prows = parent.rows
         # images[k][mask]: the image of mask under the k-th generator
         images = []
@@ -78,6 +92,7 @@ def _reps(n: int) -> tuple[Graph, ...]:
                 img += [s | bit for s in img]
             images.append(img)
         met = bytearray(1 << (n - 1))
+        kids = 0
         for mask in range(1 << (n - 1)):
             if met[mask]:
                 continue
@@ -93,12 +108,13 @@ def _reps(n: int) -> tuple[Graph, ...]:
             rows = [prows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
             rows.append(mask)
             c = canonical_form(Graph(n, tuple(rows)))
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
+            kids |= 1 << index.setdefault(c, len(index))
+        up.append(kids)
+    out = list(index)
     if n <= 6:
         out.sort(key=_scan_code)
-    return tuple(out)
+        up = [sum(1 << i for i, c in enumerate(out) if kids >> index[c] & 1) for kids in up]
+    return tuple(out), tuple(up)
 
 
 def _scan_code(g: Graph) -> int:
@@ -112,12 +128,12 @@ def _scan_code(g: Graph) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reps_by_edges(n: int) -> tuple[tuple[Graph, ...], ...]:
-    """_reps(n) split by edge count, each bucket in _reps order."""
-    buckets: list[list[Graph]] = [[] for _ in range(n * (n - 1) // 2 + 1)]
-    for g in _reps(n):
-        buckets[g.edge_count].append(g)
-    return tuple([tuple(b) for b in buckets])
+def _edge_masks(n: int) -> tuple[int, ...]:
+    """For each edge count m, the mask of the classes in _reps(n) with m edges."""
+    masks = [0] * (n * (n - 1) // 2 + 1)
+    for i, g in enumerate(_reps(n)[0]):
+        masks[g.edge_count] |= 1 << i
+    return tuple(masks)
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
@@ -127,7 +143,7 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
     outgrows desk scale and this package offers no sampling fallback.
     """
     _check_n(n)
-    yield from _reps(n)
+    yield from _reps(n)[0]
 
 
 @dataclass(frozen=True)
@@ -175,18 +191,29 @@ class PairTable:
 
 @lru_cache(maxsize=None)
 def feasible_pairs(family: FamilySpec, n: int) -> PairTable:
-    """Exact feasibility table by exhaustive scan of all classes on n vertices.
+    """Exact feasibility table, read off the classes' one-vertex decks.
 
-    Each edge count's classes are tried in _reps order up to the first
-    one that avoids every forbidden graph.
+    Being induced-F-free is hereditary. A class C on k vertices contains
+    a forbidden F of fewer vertices iff some card C - v does, since an
+    induced copy of F misses some vertex v; one of k vertices it contains
+    iff C is F. So, level by level from 1 to n, the classes containing a
+    forbidden graph are those extending such a class one level down
+    (the up masks of _reps) plus the forbidden graphs of that order, and
+    an edge count is feasible iff one of its classes is left over.
     """
     _check_n(n)
-    pats = [g for g in family.forbidden if g.order <= n]
-    feasible = [
-        any(all(contains_induced(g, pat) is None for pat in pats) for g in hosts)
-        for hosts in _reps_by_edges(n)
-    ]
-    return PairTable(n, tuple(feasible))
+    # bad: the classes on k vertices that contain a forbidden graph
+    bad = 0
+    for k in range(1, n + 1):
+        classes, up = _reps(k)
+        below, bad = bad, 0
+        for j, kids in enumerate(up):
+            if below >> j & 1:
+                bad |= kids
+        for pat in family.forbidden:
+            if pat.order == k:
+                bad |= 1 << classes.index(pat)
+    return PairTable(n, tuple(mask & ~bad != 0 for mask in _edge_masks(n)))
 
 
 def interval_check_p3k1(n: int) -> tuple[int, int]:

@@ -16,7 +16,10 @@ canonical-form reference is the library's earlier one on the reference
 coloring, without its twin skips: it tries every ordering of each color
 cell and reads its graph off the least code bit by bit, where the
 library relabels by its first leaf and takes a discrete coloring as
-the ordering.
+the ordering. The feasible-pair reference is the library's earlier
+table scan: it runs the library's embedding search on host after host,
+a path the library's tables no longer take, since they are read off the
+masks that link each class to its deck.
 """
 
 from __future__ import annotations
@@ -26,10 +29,14 @@ from itertools import combinations, permutations
 from indfree import (
     MAX_ORDER,
     CapacityError,
+    FamilySpec,
     Graph,
     HParams,
+    PairTable,
     ParseError,
     complement,
+    contains_induced,
+    enumerate_nonisomorphic,
     induced_subgraph,
     make_graph,
 )
@@ -210,6 +217,25 @@ def brute_contains_induced(host: Graph, pattern: Graph) -> bool:
         if brute_is_isomorphic(Graph(pattern.order, tuple(sub_rows)), pattern):
             return True
     return False
+
+
+def reference_feasible_pairs(family: FamilySpec, n: int) -> PairTable:
+    """The library's earlier table: an exhaustive scan of the classes.
+
+    The classes on n vertices are bucketed by edge count, and each
+    bucket's classes are tried in enumeration order, with the embedding
+    search against every forbidden graph, up to the first one that
+    avoids them all.
+    """
+    buckets: list[list[Graph]] = [[] for _ in range(n * (n - 1) // 2 + 1)]
+    for g in enumerate_nonisomorphic(n):
+        buckets[g.edge_count].append(g)
+    pats = [g for g in family.forbidden if g.order <= n]
+    feasible = [
+        any(all(contains_induced(g, pat) is None for pat in pats) for g in hosts)
+        for hosts in buckets
+    ]
+    return PairTable(n, tuple(feasible))
 
 
 def _edge_pairs(n: int):

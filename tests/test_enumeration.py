@@ -18,21 +18,23 @@ from indfree import (
     encode_graph6,
     enumerate_nonisomorphic,
     feasible_pairs,
+    induced_subgraph,
     interval_check_p3k1,
     make_graph,
+    parse_graph,
     path_graph,
     star_graph,
     table_to_csv,
     table_to_json,
 )
 from indfree import enumeration
-from oracles import orbit_class_count, orbit_size_total
+from oracles import orbit_class_count, orbit_size_total, reference_feasible_pairs
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 # sha256 of the graph6 codes of the classes, one per line, in enumeration
-# order; feasible_pairs stops at the first feasible class of each edge
-# count, so the order is part of what makes the tables fast
+# order; the tables do not depend on the order, but the sequence
+# enumerate_nonisomorphic yields is part of the interface
 CLASS_SEQUENCE_SHA256 = {
     6: "15d9b311909b44e3609f3168467390215f2773bf6429dd9a8ea0e99a2658fbc4",
     7: "9fa223f771825bc1690e648cb963f31ddd5c6a33b710a83c5a4702072f7e16e1",
@@ -76,6 +78,20 @@ def test_reps_canonicalizes_one_child_per_orbit(monkeypatch):
         got[n] = len(calls)
     assert got == CHILDREN_CANONICALIZED
     assert sum(got.values()) == 85023
+
+
+def test_reps_records_every_card():
+    # the classes whose up mask holds a class C are exactly the classes
+    # of C's cards, each found here by deleting a vertex and canonicalizing
+    for n in range(2, 8):
+        classes, up = enumeration._reps(n)
+        index = {g: j for j, g in enumerate(enumeration._reps(n - 1)[0])}
+        for i, c in enumerate(classes):
+            deck = {
+                index[canonical_form(induced_subgraph(c, [u for u in range(n) if u != v]))]
+                for v in range(n)
+            }
+            assert {j for j, kids in enumerate(up) if kids >> i & 1} == deck, (n, i)
 
 
 def test_counts_confirmed_by_orbit_brute_force():
@@ -141,6 +157,25 @@ def test_family_spec_hashable_and_equal():
 
 
 # feasible_pairs and friends
+
+
+# the families of the exact-tables benchmark with wide infeasible regions
+WIDE_GAP_FAMILIES = (
+    ("cycle:4", "complete:4", "empty:4"),
+    ("complete:3", "empty:3"),
+    ("claw", "complete:3"),
+    ("diamond", "empty:3"),
+    ("H:3,1,1", "H:3,0,1"),
+    ("H:4,0,1", "empty:4"),
+)
+
+
+def test_feasible_pairs_matches_reference_scan():
+    families = [FamilySpec([g]) for k in (4, 5) for g in enumerate_nonisomorphic(k)]
+    families += [FamilySpec([parse_graph(s) for s in specs]) for specs in WIDE_GAP_FAMILIES]
+    for n in (6, 7, 8):
+        for family in families:
+            assert feasible_pairs(family, n) == reference_feasible_pairs(family, n), (family, n)
 
 
 def test_pairs_p3k1_k3k1_at_five(p3_k1, k3_k1):

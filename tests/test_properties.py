@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from indfree import (
+    FamilySpec,
     Graph,
     HParams,
     canonical_form,
@@ -13,6 +14,7 @@ from indfree import (
     contains_induced,
     decode_graph6,
     encode_graph6,
+    feasible_pairs,
     h_graph,
     induced_subgraph,
     is_isomorphic,
@@ -34,6 +36,7 @@ from oracles import (
     generated_group,
     reference_automorphisms,
     reference_canonical_form,
+    reference_feasible_pairs,
     reference_recognize_h,
     reference_wl_colors,
 )
@@ -212,6 +215,13 @@ def test_canonical_form_matches_reference(g):
     # as the product of the factorials of the cell sizes
     assume(prod(map(factorial, Counter(wl_colors(g)).values())) <= 5040)
     assert canonical_form(g) == reference_canonical_form(g)
+
+
+@given(st.lists(graphs(min_order=1, max_order=6), min_size=1, max_size=4), st.integers(0, 7))
+@settings(deadline=None)
+def test_feasible_pairs_matches_reference(forbidden, n):
+    family = FamilySpec(forbidden)
+    assert feasible_pairs(family, n) == reference_feasible_pairs(family, n)
 
 
 def members(mask):
