@@ -19,6 +19,7 @@ Exit codes, stable across releases:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -215,7 +216,11 @@ def _add_graph_input(sub, required: bool = False):
     sub.add_argument("--edges", help='edge-list literal "n;u-v,u-w,..."')
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `indfree` argument parser, built once per process: parse_args
+    keeps no state between calls, and building it is most of a warm
+    call's cost."""
     parser = argparse.ArgumentParser(
         prog="indfree",
         description="witness constructions and feasibility tables for "

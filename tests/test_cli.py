@@ -22,7 +22,7 @@ from indfree import (
     path_graph,
     uep_witness,
 )
-from indfree.cli import EXIT_CODES, main
+from indfree.cli import EXIT_CODES, build_parser, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
@@ -38,6 +38,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(argv):
+        build_parser.cache_clear()
+        return outcome(argv)
+
+    good = ["pairs", "paw", "-n", "6", "--json"]
+    bad = ["pairs", "paw", "-n", "six"]
+    want_good, want_bad = fresh(good), fresh(bad)
+    assert want_good[0] == 0 and want_bad[0] == 2
+    assert build_parser() is build_parser()
+    assert outcome(good) == want_good
+    assert outcome(bad) == want_bad
+    assert outcome(good) == want_good
 
 
 def check_schema(name: str, payload: dict):

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import os
+import threading
 
 import pytest
 
@@ -51,10 +54,13 @@ def test_class_counts_up_to_eight():
         assert sum(1 for _ in enumerate_nonisomorphic(n)) == want
 
 
+def class_digest(classes):
+    return hashlib.sha256("\n".join(encode_graph6(g) for g in classes).encode()).hexdigest()
+
+
 def test_class_sequence_is_pinned():
     for n, want in CLASS_SEQUENCE_SHA256.items():
-        text = "\n".join(encode_graph6(g) for g in enumerate_nonisomorphic(n))
-        assert hashlib.sha256(text.encode()).hexdigest() == want, n
+        assert class_digest(enumerate_nonisomorphic(n)) == want, n
 
 
 # children _reps canonicalizes at each order, one per orbit of each
@@ -67,6 +73,8 @@ CHILDREN_CANONICALIZED = {1: 1, 2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79
 def test_reps_canonicalizes_one_child_per_orbit(monkeypatch):
     enumeration._reps(7)
     calls = []
+    # in one process, since a forked helper's calls never reach this list
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
     # the count depends on the parents and their orbits only, so the
     # children are counted and returned as they are, not canonicalized
     monkeypatch.setattr(enumeration, "canonical_form", lambda g: calls.append(g) or g)
@@ -78,6 +86,136 @@ def test_reps_canonicalizes_one_child_per_orbit(monkeypatch):
         got[n] = len(calls)
     assert got == CHILDREN_CANONICALIZED
     assert sum(got.values()) == 85023
+
+
+def assert_no_helper_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks _reps makes, counted; the parents on 7 vertices cached."""
+    enumeration._reps(7)
+    made = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    return made
+
+
+def split_children(monkeypatch, helper_slice):
+    """Run helper_slice(parents) in place of _children in forked helpers;
+    return the list of this process's own _children calls."""
+    main, mine = os.getpid(), []
+    children = enumeration._children
+
+    def wrapper(n, parents):
+        if os.getpid() != main:
+            return helper_slice(children(n, parents), parents)
+        mine.append(len(parents))
+        return children(n, parents)
+
+    monkeypatch.setattr(enumeration, "_children", wrapper)
+    return mine
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_reps_same_for_any_number_of_slices(monkeypatch, forks, n, w):
+    monkeypatch.setattr(enumeration, "_cpus", lambda: w)
+    classes, up = enumeration._reps.__wrapped__(n)
+    assert_no_helper_left()
+    assert len(forks) == w - 1
+    assert class_digest(classes) == CLASS_SEQUENCE_SHA256[n]
+    assert up == enumeration._reps(n)[1]
+
+
+def test_reps_small_levels_stay_in_process(monkeypatch, forks):
+    # 11 parents on 4 vertices make one slice; 34 on 5 make two
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 8)
+    for n in range(1, 7):
+        assert enumeration._reps.__wrapped__(n) == enumeration._reps(n)
+    assert len(forks) == 1
+
+
+def test_reps_forks_nothing_while_a_thread_runs(monkeypatch, forks):
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got = enumeration._reps.__wrapped__(7)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert got == enumeration._reps(7)
+
+
+def test_reps_recomputes_a_slice_whose_fork_fails(monkeypatch):
+    enumeration._reps(7)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+
+    def fork():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", fork)
+    mine = split_children(monkeypatch, lambda forms, parents: forms)
+    assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
+    assert mine == [78, 78]
+
+
+def test_reps_recomputes_the_slice_of_a_failed_helper(monkeypatch, forks):
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+
+    def crash(forms, parents):
+        os._exit(3)
+
+    mine = split_children(monkeypatch, crash)
+    assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
+    assert_no_helper_left()
+    assert len(forks) == 1
+    assert mine == [78, 78]
+
+
+def test_reps_recomputes_the_slice_of_a_truncated_blob(monkeypatch, forks):
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+    # the helper writes its parents' forms but the last's, and exits 0
+    mine = split_children(monkeypatch, lambda forms, parents: itertools.islice(forms, len(parents) - 1))
+    assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
+    assert_no_helper_left()
+    assert len(forks) == 1
+    assert mine == [78, 78]
+
+
+def test_reps_reaps_its_helpers_when_it_raises(monkeypatch, forks):
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
+    main, children = os.getpid(), enumeration._children
+
+    def wrapper(n, parents):
+        if os.getpid() == main:
+            raise KeyboardInterrupt
+        return children(n, parents)
+
+    monkeypatch.setattr(enumeration, "_children", wrapper)
+    with pytest.raises(KeyboardInterrupt):
+        enumeration._reps.__wrapped__(8)
+    assert len(forks) == 2
+    assert_no_helper_left()
+
+
+def test_unpack_takes_exactly_its_parents():
+    parents = enumeration._reps(5)[0][:3]
+    want = list(enumeration._children(6, parents))
+    blob = b"".join(
+        len(forms).to_bytes(2, "little") + b"".join(bytes(c.rows) for c in forms) for forms in want
+    )
+    assert list(enumeration._unpack(6, blob, 3)) == want
+    for bad in (blob[:-1], blob[:-6], blob + b"\0", blob[:1], b""):
+        assert enumeration._unpack(6, bad, 3) is None
+    assert enumeration._unpack(6, blob, 2) is None
+    assert enumeration._unpack(6, blob, 4) is None
 
 
 def test_reps_records_every_card():
