@@ -30,7 +30,6 @@ from indfree import (
 from indfree.cli import fail
 from indfree.constructions import _check_pair
 from indfree.enumeration import _check_n
-from indfree.graphs import _check_order
 
 
 def sweep_pattern(pattern, max_n):
@@ -66,7 +65,6 @@ def sweep(args):
     _check_n(args.max_order)
     # the witness command's checks on n: RangeError below 0, then the cap
     _check_pair(args.max_n, 0)
-    _check_order(args.max_n)
     start = time.perf_counter()
     patterns = 0
     blocked = 0

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import ParameterError, RangeError
 from .graphs import (
     Graph,
+    _check_order,
     _clique_rows,
     complement,
     complete_graph,
@@ -149,6 +150,8 @@ def _check_pair(n: int, m: int) -> None:
         raise RangeError(f"vertex count must be non-negative, got {n}")
     if not 0 <= m <= n * (n - 1) // 2:
         raise RangeError(f"edge count {m} out of range [0, C({n},2)={n*(n-1)//2}]")
+    # before any construction: _min_clique_order counts up to p
+    _check_order(n)
 
 
 def uep_witness(n: int, m: int) -> Graph:

@@ -316,7 +316,6 @@ class PairTable:
         object.__setattr__(self, "F", bad[-1] if bad else None)
 
 
-@lru_cache(maxsize=None)
 def feasible_pairs(family: FamilySpec, n: int) -> PairTable:
     """Exact feasibility table, read off the classes' one-vertex decks.
 

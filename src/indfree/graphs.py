@@ -115,20 +115,23 @@ def join(a: Graph, b: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on `vertices`, keeping their given order."""
+    """Subgraph induced on `vertices` in their given order: vertex i is g's vertices[i]."""
     vs = list(vertices)
-    idx = {v: i for i, v in enumerate(vs)}
-    rows = [0] * len(vs)
+    # bit[v]: v's bit in the result, 0 for a vertex left out
+    bit = [0] * g.order
     for i, v in enumerate(vs):
-        m = g.rows[v]
-        while m:
-            lsb = m & -m
-            u = lsb.bit_length() - 1
-            m ^= lsb
-            j = idx.get(u)
-            if j is not None:
-                rows[i] |= 1 << j
-    return Graph(len(vs), tuple(rows))
+        bit[v] = 1 << i
+    rows = g.rows
+    out = []
+    for v in vs:
+        r = rows[v]
+        row = 0
+        while r:
+            lsb = r & -r
+            r ^= lsb
+            row |= bit[lsb.bit_length() - 1]
+        out.append(row)
+    return Graph(len(vs), tuple(out))
 
 
 # Named building blocks used throughout the constructions and the CLI catalog.
@@ -163,9 +166,13 @@ def cycle_graph(k: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """Star with the given number of leaves: vertex 0 is the center."""
+    if leaves < 0:
+        raise ValidationError(f"star needs a non-negative number of leaves, got {leaves}")
     return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def matching_graph(k: int) -> Graph:
     """k disjoint edges on exactly 2k vertices."""
+    if k < 0:
+        raise ValidationError(f"matching needs a non-negative number of edges, got {k}")
     return make_graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])

@@ -11,7 +11,8 @@ adjacency code. The coloring is iterated neighbor-color refinement,
 which on its own does not decide isomorphism; the ordering search
 closes the gap, so the result is exact. A discrete coloring, one vertex
 per color, allows one ordering, which is then the answer without any
-search. canonical_form relabels its graph by the first ordering found.
+search. canonical_form relabels its graph by the first ordering found,
+through graphs.induced_subgraph, the package's one relabel.
 _aut_generators reads generators of Aut(g) off the orderings that tie
 and the twin swaps the search skips; the skips hide some tied
 orderings, so these generate Aut(g) without listing it.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -184,26 +185,7 @@ def canonical_form(g: Graph) -> Graph:
     change the best completion, so twins are skipped; that keeps
     cliques, stars and near-complete graphs linear instead of factorial.
     """
-    n = g.order
-    if n <= 1:
-        return g
-    leaves: list[tuple[int, ...]] = []
-    _search(g, wl_colors(g), leaves)
-    # bit[v]: v's bit in the output
-    bit = [0] * n
-    for i, v in enumerate(leaves[0]):
-        bit[v] = 1 << i
-    rows = g.rows
-    out = []
-    for v in leaves[0]:
-        r = rows[v]
-        row = 0
-        while r:
-            lsb = r & -r
-            r ^= lsb
-            row |= bit[lsb.bit_length() - 1]
-        out.append(row)
-    return Graph(n, tuple(out))
+    return induced_subgraph(g, _search(g)[0])
 
 
 def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
@@ -222,8 +204,7 @@ def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
     reached from the first leaf by the two kinds together.
     """
     n = g.order
-    leaves: list[tuple[int, ...]] = []
-    _search(g, wl_colors(g), leaves)
+    leaves = _search(g)
     slot = [0] * n
     for i, v in enumerate(leaves[0]):
         slot[v] = i
@@ -237,20 +218,22 @@ def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-def _search(g: Graph, colors: tuple[int, ...], leaves: list[tuple[int, ...]]) -> None:
-    """Append to leaves the orderings with the least code, over those that
-    fill the cells of colors, g's wl_colors, in color order, skipping
-    twins. A discrete coloring allows one ordering, so it is the answer
-    and no code is compared."""
+def _search(g: Graph) -> list[tuple[int, ...]]:
+    """The orderings with the least code, in the order found, over those
+    that fill the cells of g's wl_colors in color order, skipping twins.
+    A discrete coloring allows one ordering, so it is the answer and no
+    code is compared."""
+    colors = wl_colors(g)
     n = g.order
     cells = [0] * (max(colors, default=-1) + 1)
     for v, c in enumerate(colors):
         cells[c] |= 1 << v
     if len(cells) == n:
-        leaves.append(tuple([c.bit_length() - 1 for c in cells]))
-        return
+        return [tuple([c.bit_length() - 1 for c in cells])]
     slots = [cells[c] for c in sorted(colors)]
+    leaves: list[tuple[int, ...]] = []
     _least_code(0, 0, slots, g.rows, _twin_masks(g.rows), [_INF] * n, [], leaves)
+    return leaves
 
 
 def _least_code(

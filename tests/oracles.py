@@ -8,9 +8,12 @@ construction references build from edge lists, sharing no code with the
 library's base64 codec or its row-mask constructions. The H-graph
 recogniser reference is the library's earlier one, which reads the
 shape off an induced core subgraph and its complement rather than off
-the row masks. The automorphism reference is the library's earlier
-search, which maps vertices in label order instead of reading Aut(g)
-off the canonical-form search's tied leaves; generated_group closes the
+the row masks. It takes that subgraph through the induced-subgraph
+reference, the library's earlier dict-based relabel, since the
+library's bit-table induced_subgraph is also canonical_form's relabel.
+The automorphism reference is the library's earlier search, which maps
+vertices in label order instead of reading Aut(g) off the
+canonical-form search's tied leaves; generated_group closes the
 library's generators under composition so the two can be compared. The
 canonical-form reference is the library's earlier one on the reference
 coloring, without its twin skips: it tries every ordering of each color
@@ -37,7 +40,6 @@ from indfree import (
     complement,
     contains_induced,
     enumerate_nonisomorphic,
-    induced_subgraph,
     make_graph,
 )
 from indfree.errors import byte_offset
@@ -413,6 +415,24 @@ def reference_s_graph(p: int, r: int) -> Graph:
     return make_graph(p + r, [(u, v) for u in range(p) for v in range(u + 1, p + r)])
 
 
+def reference_induced_subgraph(g: Graph, vertices) -> Graph:
+    """Reference for induced_subgraph: the library's earlier one, which
+    looks each neighbour up in a dict from vertex to its new label."""
+    vs = list(vertices)
+    idx = {v: i for i, v in enumerate(vs)}
+    rows = [0] * len(vs)
+    for i, v in enumerate(vs):
+        m = g.rows[v]
+        while m:
+            lsb = m & -m
+            u = lsb.bit_length() - 1
+            m ^= lsb
+            j = idx.get(u)
+            if j is not None:
+                rows[i] |= 1 << j
+    return Graph(len(vs), tuple(rows))
+
+
 def reference_recognize_h(g: Graph) -> HParams | None:
     """Reference for recognize_h: the core built as an induced subgraph,
     and the missing star read off its complement."""
@@ -422,7 +442,7 @@ def reference_recognize_h(g: Graph) -> HParams | None:
     p = len(core_vs)
     if p == 0:
         return HParams(0, 0, r)
-    core = induced_subgraph(g, core_vs)
+    core = reference_induced_subgraph(g, core_vs)
     co = complement(core)
     q = co.edge_count
     if q == 0:

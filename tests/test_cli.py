@@ -181,12 +181,31 @@ def test_witness_range_exit(capsys):
 
 @pytest.mark.parametrize(
     "n, m, named",
-    [("-1", "0", "vertex count must be non-negative, got -1"), ("3", "4", "edge count 4")],
+    [
+        ("-1", "0", "vertex count must be non-negative, got -1"),
+        ("3", "4", "edge count 4"),
+        # the range checks come before the cap
+        ("65", "-1", "edge count -1"),
+    ],
 )
 def test_witness_range_message_names_bad_argument(capsys, n, m, named):
     code, _, err = run(capsys, "witness", "paw", n, m)
     assert code == 3
     assert named in err
+
+
+def test_witness_checks_the_cap_before_building():
+    # C(n,2) is in range, so only the 64-vertex cap stops this; checked
+    # late, the builder counted a clique order up to 2e9 first
+    proc = subprocess.run(
+        [sys.executable, "-m", "indfree", "witness", "paw", "2000000000", "1999999999000000000"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=20,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == "error: order 2000000000 exceeds the cap of 64 vertices\n"
 
 
 def test_witness_out_file(capsys, tmp_path):
@@ -412,6 +431,25 @@ def test_named_specifiers_round_trip(capsys):
         code, out, _ = run(capsys, "encode", name)
         assert code == 0
         assert is_isomorphic(decode_graph6(out.strip()), parse_graph(name))
+
+
+@pytest.mark.parametrize(
+    "command", [["classify"], ["encode"], ["witness", "5", "3"]], ids=["classify", "encode", "witness"]
+)
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("star:-1", "leaves, got -1"),
+        ("star:-2", "leaves, got -2"),
+        ("matching:-1", "edges, got -1"),
+    ],
+    ids=["star:-1", "star:-2", "matching:-1"],
+)
+def test_negative_catalog_count_exits_7(capsys, command, spec, named):
+    code, out, err = run(capsys, command[0], spec, *command[1:])
+    assert code == 7
+    assert out == ""
+    assert err.startswith("error: ") and named in err
 
 
 def test_parameter_error_exit(capsys):

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from indfree import (
+    CapacityError,
     HParams,
     ParameterError,
     QParams,
@@ -184,6 +185,16 @@ def test_uep_range_error():
         uep_witness(4, -1)
     with pytest.raises(RangeError):
         uep_witness(-1, 0)
+
+
+def test_uep_checks_the_cap_before_building(monkeypatch):
+    # a late check would first count the clique order up to 1.4e9
+    def refuse(m):
+        raise AssertionError("_min_clique_order called")
+
+    monkeypatch.setattr("indfree.constructions._min_clique_order", refuse)
+    with pytest.raises(CapacityError):
+        uep_witness(2 * 10**9, 10**18)
 
 
 # k3k2_decompose

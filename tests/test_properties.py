@@ -37,6 +37,7 @@ from oracles import (
     reference_automorphisms,
     reference_canonical_form,
     reference_feasible_pairs,
+    reference_induced_subgraph,
     reference_recognize_h,
     reference_wl_colors,
 )
@@ -143,6 +144,22 @@ def test_wl_colors_matches_reference(g):
 @given(st.one_of(graphs(), twin_blowups(), block_blowups(), perturbed_h_graphs()))
 def test_recognize_h_matches_reference(g):
     assert recognize_h(g) == reference_recognize_h(g)
+
+
+@given(graphs(max_order=64), st.sampled_from(("empty", "subset", "permutation")), st.data())
+def test_induced_subgraph_matches_reference(g, way, data):
+    n = g.order
+    perm = data.draw(st.permutations(range(n)))
+    if way == "empty":
+        vs = []
+    elif way == "subset":
+        vs = perm[: data.draw(st.integers(0, n))]
+    else:
+        vs = perm
+    sub = induced_subgraph(g, vs)
+    assert sub == reference_induced_subgraph(g, vs)
+    if way == "permutation":
+        assert sub == apply_perm(g, vs)
 
 
 @given(graphs())
