@@ -4,10 +4,16 @@ This module is the independent check on everything the constructions
 promise: it enumerates all graphs on up to 8 vertices one isomorphism
 class at a time, then marks which edge counts admit a member avoiding
 every forbidden pattern. Representatives are canonical forms, so two
-runs always agree. Each order's parents are split into contiguous
-slices, one per CPU; forked helpers canonicalize the children of every
-slice but the first, and the calling process merges their forms in
-slice order, so the classes and their order are those of one process.
+runs always agree.
+
+Each order is built by giving every class one order down, a parent,
+one more vertex. Complementation maps the children of a parent P onto
+those of its complement class, so only one parent of each such pair has
+its children canonicalized; the other's forms are the complements of
+its partner's, canonicalized once per class. The pairs are cut into
+contiguous groups, one per CPU; forked helpers work through every group
+but the first, and the calling process merges all the forms in class
+order, so the classes and their order are those of one process.
 
 The classes come in a fixed order. For n <= 6 they are sorted by their
 labeled adjacency code (bit i for the i-th vertex pair in lexicographic
@@ -30,19 +36,19 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import BinaryIO, Iterator
 
 from .errors import CapacityError, RangeError, ValidationError
 from .graph6 import encode_graph6
-from .graphs import Graph
-from .iso import _aut_generators, canonical_form
+from .graphs import Graph, complement, induced_subgraph
+from .iso import _aut_generators, _search, canonical_form
 
 ENUMERATION_CAP = 8
-# fewest parents per slice: forking a helper and reaping it costs about
+# fewest parents per group: forking a helper and reaping it costs about
 # 4-6 ms, while the 11 parents on 4 vertices take 6.5 ms in all, and the
 # 34 on 5 take 39 ms in process against 31 ms in two slices
-_MIN_SLICE = 16
+_MIN_GROUP = 16
 
 
 def _check_n(n: int) -> None:
@@ -61,129 +67,228 @@ def _reps(n: int) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
 
     Every order is built from the one below: _children gives each parent
     P on n - 1 vertices one new vertex with every neighbourhood mask that
-    is least in its orbit under Aut(P), in ascending order, and
-    canonicalizes the children. Each child's canonical form is kept the
-    first time it appears. For n <= 6 the classes are then sorted by
-    _scan_code, the order of the module docstring; for n >= 7 the order
-    of first discovery is the class order.
+    is least in its orbit under Aut(P), in ascending order, and the
+    canonical forms of those children. Each child's canonical form is
+    kept the first time it appears. For n <= 6 the classes are then
+    sorted by _scan_code, the order of the module docstring; for n >= 7
+    the order of first discovery is the class order.
 
-    Every child canonicalized sets its bit in its parent's mask, and so
-    every card of every class is recorded: for any vertex v of a class
-    C, C - v is isomorphic to some parent P, and C is then P plus one
-    vertex whose mask lies in one orbit of Aut(P), the orbit whose least
-    mask is canonicalized. The bits first follow the order of discovery,
-    so for n <= 6 the masks are rebuilt after the sort, with the bits at
-    the sorted positions.
+    Every child sets its bit in its parent's mask, and so every card of
+    every class is recorded: for any vertex v of a class C, C - v is
+    isomorphic to some parent P, and C is then P plus one vertex whose
+    mask lies in one orbit of Aut(P), the orbit whose least mask makes a
+    child. The bits first follow the order of discovery, so for n <= 6
+    the masks are rebuilt after the sort, with the bits at the sorted
+    positions.
 
-    The parents are cut into contiguous slices, one per CPU the process
-    may run on but none of fewer than _MIN_SLICE parents. A forked helper
-    runs _children on each slice but the first and writes the forms to a
-    pipe; this process runs the first slice itself, then merges each
-    helper's forms in slice order. Every parent's children thus meet
-    index in the same sequence as in a single process, so the discovery
-    order and the masks do not depend on the number of slices. No helper
-    is forked where os.fork is missing or a second thread runs, since a
-    forked copy of a threaded process may hold a lock no thread will
-    release. A slice whose fork fails, whose helper exits nonzero, or
-    whose blob does not decode to exactly its parents is recomputed
-    here, and every helper not yet reaped is killed and reaped before
-    _reps returns or raises.
+    _groups puts each parent next to its complement class, the partner
+    _partners finds, and cuts those units, in class order, into
+    contiguous groups, one per CPU the process may run on but none for
+    fewer than _MIN_GROUP parents. Partners share a group, so _children
+    canonicalizes the children of only one of them. A forked helper runs
+    _children on each group but the first and writes the forms to a
+    pipe; this process packs the first group's forms the same way, n
+    bytes a child, and _merge then reads every parent's forms in class
+    order. Every parent's children thus meet its index in the same
+    sequence as in a single process, so the discovery order and the
+    masks depend neither on the number of groups nor on which parent of
+    a pair took the complement path. No helper is forked where os.fork is
+    missing or a second thread runs, since a forked copy of a threaded
+    process may hold a lock no thread will release. A group whose fork
+    fails, whose helper exits nonzero, or whose blob does not decode to
+    exactly its parents is recomputed here, and every helper not yet
+    reaped is killed and reaped before _reps returns or raises.
     """
     if n == 0:
         return (Graph(0, ()),), ()
     parents = _reps(n - 1)[0]
-    index: dict[Graph, int] = {}
-    up = []
-
-    def merge(lists):
-        for forms in lists:
-            kids = 0
-            for c in forms:
-                kids |= 1 << index.setdefault(c, len(index))
-            up.append(kids)
-
-    w = max(1, min(_cpus(), len(parents) // _MIN_SLICE))
+    partner = _partners(parents)
+    w = max(1, min(_cpus(), len(parents) // _MIN_GROUP))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         w = 1
-    cuts = [len(parents) * k // w for k in range(w + 1)]
-    slices = [parents[a:b] for a, b in zip(cuts, cuts[1:])]
-    # helpers[k]: (pid, pipe) of the helper running slice k, until reaped
+    groups = _groups(parents, partner, w)
+
+    def pack(k):
+        return _pack(_children(n, [parents[i] for i in groups[k]], partner))
+
+    # spans[i]: the blob holding parents[i]'s forms, and where they lie in it
+    spans: list[tuple[bytes, int, int] | None] = [None] * len(parents)
+
+    def place(k, blob):
+        where = None if blob is None else _spans(n, blob, len(groups[k]))
+        if where is None:
+            return False
+        for i, (a, b) in zip(groups[k], where):
+            spans[i] = blob, a, b
+        return True
+
+    # helpers[k]: (pid, pipe) of the helper running group k, until reaped
     helpers: dict[int, tuple[int, BinaryIO]] = {}
     try:
         for k in range(1, w):
-            helper = _fork_helper(n, slices[k])
+            helper = _fork_helper(partial(pack, k))
             if helper is not None:
                 helpers[k] = helper
-        merge(_children(n, slices[0]))
+        place(0, pack(0))
         for k in range(1, w):
-            lists = None
-            if k in helpers:
-                pid, pipe = helpers[k]
-                with pipe:
-                    blob = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                del helpers[k]
-                if status == 0:
-                    lists = _unpack(n, blob, len(slices[k]))
-            merge(_children(n, slices[k]) if lists is None else lists)
+            if not (k in helpers and place(k, _reap(helpers, k))):
+                place(k, pack(k))
     finally:
         for pid, pipe in helpers.values():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    out = list(index)
+    forms, up = _merge(n, spans)
+    # the blobs go before the classes are built
+    spans.clear()
+    out = [Graph(n, tuple(c)) for c in forms]
     if n <= 6:
-        out.sort(key=_scan_code)
-        up = [sum(1 << i for i, c in enumerate(out) if kids >> index[c] & 1) for kids in up]
+        order = sorted(range(len(out)), key=lambda i: _scan_code(out[i]))
+        out = [out[i] for i in order]
+        up = [sum(1 << i for i, k in enumerate(order) if kids >> k & 1) for kids in up]
     return tuple(out), tuple(up)
 
 
-def _children(n: int, parents) -> Iterator[list[Graph]]:
+def _merge(n: int, spans) -> tuple[list[bytes], list[int]]:
+    """The distinct forms the spans hold, n bytes each, in order of first
+    appearance, and for each span the mask of its forms among them."""
+    index: dict[bytes, int] = {}
+    up = []
+    for blob, a, b in spans:
+        kids = 0
+        for j in range(a, b, n):
+            kids |= 1 << index.setdefault(blob[j:j + n], len(index))
+        up.append(kids)
+    return list(index), up
+
+
+def _partners(parents) -> dict[Graph, tuple[Graph, tuple[int, ...]]]:
+    """For each parent P, its complement class Q, the one of parents
+    isomorphic to complement(P), and an isomorphism lam from Q to
+    complement(P): Q's vertex k is complement(P)'s vertex lam[k].
+
+    One search serves a pair. Q is canonical_form(complement(P)), which
+    relabels complement(P) by lam, the first leaf of its search.
+    Complementing both sides, complement(Q) is P relabelled by lam, so
+    the inverse of lam does for Q what lam does for P.
+    """
+    pos = {p: i for i, p in enumerate(parents)}
+    out = {}
+    for p in parents:
+        if p in out:
+            continue
+        co = complement(p)
+        lam = _search(co)[0]
+        q = parents[pos[induced_subgraph(co, lam)]]
+        inv = [0] * len(lam)
+        for k, v in enumerate(lam):
+            inv[v] = k
+        out[q] = p, tuple(inv)
+        out[p] = q, lam
+    return out
+
+
+def _groups(parents, partner, w: int) -> list[list[int]]:
+    """The indices of parents cut into w contiguous groups of units: each
+    parent before its partner, or alone when it is its own complement,
+    in class order of the unit's first parent."""
+    pos = {p: i for i, p in enumerate(parents)}
+    units = []
+    for i, p in enumerate(parents):
+        j = pos[partner[p][0]]
+        if j == i:
+            units.append([i])
+        elif j > i:
+            units.append([i, j])
+    cuts = [len(units) * k // w for k in range(w + 1)]
+    return [[i for unit in units[a:b] for i in unit] for a, b in zip(cuts, cuts[1:])]
+
+
+def _children(n: int, parents, partner) -> Iterator[list[Graph]]:
     """For each parent on n - 1 vertices, in order, the canonical forms of
     its children whose new vertex's mask is least in its orbit under
-    Aut(parent), in mask order.
+    Aut(parent), in mask order; partner is _partners' map.
 
-    A mask is skipped unless it is the least of its orbit, which the
-    bytearray met marks as each orbit is first met. Some automorphism
-    maps the orbit's least mask, met earlier, onto the skipped one, and
-    that automorphism, fixing the new vertex, is an isomorphism between
-    the two children, so the skipped child's class is already kept and
-    neither the set of classes nor their order changes.
+    A mask is skipped unless it is the least of its orbit. Some
+    automorphism maps the orbit's least mask, met earlier, onto the
+    skipped one, and that automorphism, fixing the new vertex, is an
+    isomorphism between the two children, so the skipped child's class
+    is already kept and neither the set of classes nor their order
+    changes.
 
-    Aut(P) comes as generators from _aut_generators, not as a list of
-    its elements. An orbit is the closure of its least mask under the
-    generators, since every automorphism is a product of them and Aut(P)
-    is finite, so a worklist that applies each generator to each mask it
-    reaches marks exactly the orbit.
+    A parent P whose complement class Q came earlier in the same call
+    takes the complement path. Q's own partner entry maps P onto
+    complement(Q): P's vertex j is complement(Q)'s vertex mu[j]. The
+    child P + S has as complement complement(P) plus a vertex joined to
+    the vertices outside S, which mu relabels to Q + T, where T holds
+    the mu[j] with j not in S. So P + S and complement(Q + T) are
+    isomorphic, and Q's form C for the orbit of T gives P + S the form
+    canonical_form(complement(C)), cached per class both ways. The
+    relabelling maps orbits of Aut(P) onto orbits of Aut(Q), so the
+    masks S whose T meets an orbit first are the least of their orbits
+    under Aut(P), and P's list is the one the direct path gives.
+
+    Any other parent takes the direct path. Aut(P) comes as generators
+    from _aut_generators, not as a list of its elements. An orbit is the
+    closure of its least mask under the generators, since every
+    automorphism is a product of them and Aut(P) is finite, so a worklist
+    that applies each generator to each mask it reaches marks exactly
+    the orbit. The orbit of every mask and the forms are kept for P's
+    partner.
     """
+    full = (1 << (n - 1)) - 1
+    # tables[P]: the orbit index of every mask, and the form of each orbit
+    tables: dict[Graph, tuple[list[int], list[Graph]]] = {}
+    # flip[C]: canonical_form(complement(C))
+    flip: dict[Graph, Graph] = {}
     for parent in parents:
+        q = partner[parent][0]
+        forms = []
+        if q in tables:
+            orbit, qforms = tables.pop(q)
+            seen = bytearray(len(qforms))
+            for t in _images(partner[q][1]):
+                o = orbit[full ^ t]
+                if not seen[o]:
+                    seen[o] = 1
+                    c = qforms[o]
+                    d = flip.get(c)
+                    if d is None:
+                        d = flip[c] = canonical_form(complement(c))
+                        flip[d] = c
+                    forms.append(d)
+            yield forms
+            continue
         prows = parent.rows
         # images[k][mask]: the image of mask under the k-th generator
-        images = []
-        for perm in _aut_generators(parent):
-            img = [0]
-            for v in range(n - 1):
-                bit = 1 << perm[v]
-                img += [s | bit for s in img]
-            images.append(img)
-        met = bytearray(1 << (n - 1))
-        forms = []
-        for mask in range(1 << (n - 1)):
-            if met[mask]:
+        images = [_images(perm) for perm in _aut_generators(parent)]
+        orbit = [-1] * (full + 1)
+        for mask in range(full + 1):
+            if orbit[mask] >= 0:
                 continue
-            met[mask] = 1
+            o = orbit[mask] = len(forms)
             todo = [mask]
             while todo:
                 m = todo.pop()
                 for img in images:
                     s = img[m]
-                    if not met[s]:
-                        met[s] = 1
+                    if orbit[s] < 0:
+                        orbit[s] = o
                         todo.append(s)
             rows = [prows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
             rows.append(mask)
             forms.append(canonical_form(Graph(n, tuple(rows))))
+        tables[parent] = orbit, forms
         yield forms
+
+
+def _images(perm) -> list[int]:
+    """The image of every mask under the vertex map v -> perm[v], by mask."""
+    img = [0]
+    for v in range(len(perm)):
+        bit = 1 << perm[v]
+        img += [s | bit for s in img]
+    return img
 
 
 def _cpus() -> int:
@@ -193,14 +298,24 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_helper(n: int, parents) -> tuple[int, BinaryIO] | None:
-    """Fork a helper that writes _children(n, parents) to a pipe and exits;
-    its pid and the pipe's read end, or None when the fork fails.
+def _pack(lists) -> bytes:
+    """_children's lists as one blob: per parent, its child count in 2
+    bytes and then each child's rows, one byte per row (n <= 8)."""
+    blob = bytearray()
+    for forms in lists:
+        blob += len(forms).to_bytes(2, "little")
+        for c in forms:
+            blob += bytes(c.rows)
+    return bytes(blob)
 
-    The blob holds, per parent, its child count in 2 bytes and then each
-    child's rows, one byte per row (n <= 8). The helper writes nothing
-    else and leaves through os._exit, so no buffer or exit handler it
-    inherited runs twice; it exits 1 if anything raised.
+
+def _fork_helper(job) -> tuple[int, BinaryIO] | None:
+    """Fork a helper that writes the blob job() returns to a pipe and
+    exits; its pid and the pipe's read end, or None when the fork fails.
+
+    The helper writes nothing else and leaves through os._exit, so no
+    buffer or exit handler it inherited runs twice; it exits 1 if
+    anything raised.
     """
     r, w = os.pipe()
     try:
@@ -213,12 +328,7 @@ def _fork_helper(n: int, parents) -> tuple[int, BinaryIO] | None:
         status = 1
         try:
             os.close(r)
-            blob = bytearray()
-            for forms in _children(n, parents):
-                blob += len(forms).to_bytes(2, "little")
-                for c in forms:
-                    blob += bytes(c.rows)
-            view = memoryview(blob)
+            view = memoryview(job())
             while view:
                 view = view[os.write(w, view):]
             status = 0
@@ -228,9 +338,20 @@ def _fork_helper(n: int, parents) -> tuple[int, BinaryIO] | None:
     return pid, open(r, "rb")
 
 
-def _unpack(n: int, blob: bytes, parents: int) -> Iterator[list[Graph]] | None:
-    """A helper's blob as _children's lists, decoded one parent at a time,
-    or None unless it holds exactly `parents` of them."""
+def _reap(helpers: dict[int, tuple[int, BinaryIO]], k: int) -> bytes | None:
+    """Read helper k's blob to the end, reap the helper and drop it from
+    helpers; the blob, or None unless the helper exited 0."""
+    pid, pipe = helpers[k]
+    with pipe:
+        blob = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    del helpers[k]
+    return blob if status == 0 else None
+
+
+def _spans(n: int, blob: bytes, parents: int) -> list[tuple[int, int]] | None:
+    """Where each parent's forms lie in a _pack blob, as (start, end), or
+    None unless the blob holds exactly `parents` of them."""
     spans = []
     at = 0
     for _ in range(parents):
@@ -241,7 +362,7 @@ def _unpack(n: int, blob: bytes, parents: int) -> Iterator[list[Graph]] | None:
         spans.append((start, at))
     if at != len(blob):
         return None
-    return ([Graph(n, tuple(blob[i:i + n])) for i in range(a, b, n)] for a, b in spans)
+    return spans
 
 
 def _scan_code(g: Graph) -> int:

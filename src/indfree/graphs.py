@@ -115,11 +115,18 @@ def join(a: Graph, b: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on `vertices` in their given order: vertex i is g's vertices[i]."""
+    """Subgraph induced on `vertices` in their given order: vertex i is g's vertices[i].
+
+    Raises ValidationError for a vertex outside [0, order) or one given twice.
+    """
     vs = list(vertices)
-    # bit[v]: v's bit in the result, 0 for a vertex left out
-    bit = [0] * g.order
+    n = g.order
+    # bit[v]: v's bit in the result, 0 for a vertex left out or not yet met
+    bit = [0] * n
     for i, v in enumerate(vs):
+        if not 0 <= v < n or bit[v]:
+            what = "repeated" if 0 <= v < n else f"outside [0, {n})"
+            raise ValidationError(f"vertex {v} {what}")
         bit[v] = 1 << i
     rows = g.rows
     out = []

@@ -22,7 +22,11 @@ library relabels by its first leaf and takes a discrete coloring as
 the ordering. The feasible-pair reference is the library's earlier
 table scan: it runs the library's embedding search on host after host,
 a path the library's tables no longer take, since they are read off the
-masks that link each class to its deck.
+masks that link each class to its deck. The children reference is the
+library's earlier enumeration step: it canonicalizes every child of
+every parent directly, with the library's canonical form and
+automorphism generators, where the library reads half the children's
+forms off the complement class's.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ from indfree import (
     HParams,
     PairTable,
     ParseError,
+    canonical_form,
     complement,
     contains_induced,
     enumerate_nonisomorphic,
     make_graph,
 )
 from indfree.errors import byte_offset
+from indfree.iso import _aut_generators
 
 _SHORT_MAX = 62
 
@@ -238,6 +244,39 @@ def reference_feasible_pairs(family: FamilySpec, n: int) -> PairTable:
         for hosts in buckets
     ]
     return PairTable(n, tuple(feasible))
+
+
+def reference_children(n: int, parents):
+    """The library's earlier enumeration step: for each parent, the
+    canonical forms of its children whose new vertex's mask is least in
+    its orbit under Aut(parent), in mask order, each canonicalized."""
+    for parent in parents:
+        prows = parent.rows
+        images = []
+        for perm in _aut_generators(parent):
+            img = [0]
+            for v in range(n - 1):
+                bit = 1 << perm[v]
+                img += [s | bit for s in img]
+            images.append(img)
+        met = bytearray(1 << (n - 1))
+        forms = []
+        for mask in range(1 << (n - 1)):
+            if met[mask]:
+                continue
+            met[mask] = 1
+            todo = [mask]
+            while todo:
+                m = todo.pop()
+                for img in images:
+                    s = img[m]
+                    if not met[s]:
+                        met[s] = 1
+                        todo.append(s)
+            rows = [prows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
+            rows.append(mask)
+            forms.append(canonical_form(Graph(n, tuple(rows))))
+        yield forms
 
 
 def _edge_pairs(n: int):

@@ -11,6 +11,7 @@ import pytest
 from indfree import (
     CapacityError,
     FamilySpec,
+    Graph,
     PairTable,
     RangeError,
     ValidationError,
@@ -31,7 +32,12 @@ from indfree import (
     table_to_json,
 )
 from indfree import enumeration
-from oracles import orbit_class_count, orbit_size_total, reference_feasible_pairs
+from oracles import (
+    orbit_class_count,
+    orbit_size_total,
+    reference_children,
+    reference_feasible_pairs,
+)
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -63,29 +69,104 @@ def test_class_sequence_is_pinned():
         assert class_digest(enumerate_nonisomorphic(n)) == want, n
 
 
-# children _reps canonicalizes at each order, one per orbit of each
-# parent's automorphism group on neighbourhood masks; an incomplete
-# generator set splits orbits and raises these, while the class digests
-# above cannot see it
-CHILDREN_CANONICALIZED = {1: 1, 2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79264}
+# children _reps makes at each order, one per orbit of each parent's
+# automorphism group on neighbourhood masks; an incomplete generator set
+# splits orbits and raises these, while the class digests above cannot
+# see it
+CHILDREN_PER_ORBIT = {1: 1, 2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79264}
+
+# canonical_form calls _reps makes in one process: a parent whose
+# complement class came first in its group reads its children's forms
+# off that class's, canonicalizing each complement once (no parent on 7
+# vertices is its own complement, so n = 8 makes 79264 / 2 direct calls
+# and 6178 complements)
+CANONICAL_FORM_CALLS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 67, 6: 364, 7: 3070, 8: 45810}
 
 
 def test_reps_canonicalizes_one_child_per_orbit(monkeypatch):
     enumeration._reps(7)
-    calls = []
-    # in one process, since a forked helper's calls never reach this list
+    # in one process, since a forked helper's calls never reach these
     monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
-    # the count depends on the parents and their orbits only, so the
-    # children are counted and returned as they are, not canonicalized
-    monkeypatch.setattr(enumeration, "canonical_form", lambda g: calls.append(g) or g)
-    got = {}
-    for n in CHILDREN_CANONICALIZED:
+    calls = []
+    canon = enumeration.canonical_form
+    monkeypatch.setattr(enumeration, "canonical_form", lambda g: calls.append(1) or canon(g))
+    kids = []
+    children = enumeration._children
+
+    def counted(n, parents, partner):
+        for forms in children(n, parents, partner):
+            kids.append(len(forms))
+            yield forms
+
+    monkeypatch.setattr(enumeration, "_children", counted)
+    got, made = {}, {}
+    for n in CHILDREN_PER_ORBIT:
         calls.clear()
+        kids.clear()
         # the uncached body, discarded; the parents come from the cache
         enumeration._reps.__wrapped__(n)
-        got[n] = len(calls)
-    assert got == CHILDREN_CANONICALIZED
-    assert sum(got.values()) == 85023
+        got[n], made[n] = len(calls), sum(kids)
+    assert made == CHILDREN_PER_ORBIT
+    assert sum(made.values()) == 85023
+    assert got == CANONICAL_FORM_CALLS
+
+
+def partners(n):
+    parents = enumeration._reps(n - 1)[0]
+    return parents, enumeration._partners(parents)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_children_match_reference(n):
+    parents, partner = partners(n)
+    want = list(reference_children(n, parents))
+    # (a) in class order, partners far apart, and in reverse, where the
+    # later partner of each pair comes first
+    assert list(enumeration._children(n, parents, partner)) == want
+    assert list(enumeration._children(n, parents[::-1], partner)) == want[::-1]
+    # (b) in the groups _reps makes, merged back into class order
+    for w in (1, 2, 3):
+        got = [None] * len(parents)
+        for group in enumeration._groups(parents, partner, w):
+            lists = enumeration._children(n, [parents[i] for i in group], partner)
+            for i, forms in zip(group, lists):
+                got[i] = forms
+        assert got == want, w
+    # (c) one parent a call, so every partner takes the direct path
+    assert [next(enumeration._children(n, [p], partner)) for p in parents] == want
+
+
+def test_partners_pair_each_parent_with_its_complement():
+    for n in range(1, 9):
+        parents, partner = partners(n)
+        assert set(partner) == set(parents)
+        for p in parents:
+            q, lam = partner[p]
+            assert partner[q][0] == p
+            assert q == canonical_form(complement(p))
+            # lam maps q onto complement(p): q's vertex k is its vertex lam[k]
+            assert induced_subgraph(complement(p), lam) == q
+
+
+def test_groups_keep_partners_together():
+    for n in (6, 7, 8):
+        parents, partner = partners(n)
+        pos = {p: i for i, p in enumerate(parents)}
+        for w in (1, 2, 3):
+            groups = enumeration._groups(parents, partner, w)
+            assert len(groups) == w
+            assert sorted(i for g in groups for i in g) == list(range(len(parents)))
+            firsts = []
+            for g in groups:
+                for i in g:
+                    j = pos[partner[parents[i]][0]]
+                    assert j in g
+                    if i <= j:
+                        firsts.append(i)
+            # the units come in class order of their first parent
+            assert firsts == sorted(firsts)
+        assert [len(g) for g in enumeration._groups(parents, partner, 2)] == {
+            6: [17, 17], 7: [78, 78], 8: [522, 522]}[n]
 
 
 def assert_no_helper_left():
@@ -103,20 +184,27 @@ def forks(monkeypatch):
     return made
 
 
-def split_children(monkeypatch, helper_slice):
-    """Run helper_slice(parents) in place of _children in forked helpers;
-    return the list of this process's own _children calls."""
+def split_children(monkeypatch, helper_group):
+    """Run helper_group(forms, parents) in place of _children in forked
+    helpers; return the list of the parents of this process's own
+    _children calls."""
     main, mine = os.getpid(), []
     children = enumeration._children
 
-    def wrapper(n, parents):
+    def wrapper(n, parents, partner):
         if os.getpid() != main:
-            return helper_slice(children(n, parents), parents)
-        mine.append(len(parents))
-        return children(n, parents)
+            return helper_group(children(n, parents, partner), parents)
+        mine.append(parents)
+        return children(n, parents, partner)
 
     monkeypatch.setattr(enumeration, "_children", wrapper)
     return mine
+
+
+def pair_groups(n, w):
+    """The parents of each group _reps(n) makes with w groups."""
+    parents, partner = partners(n)
+    return [[parents[i] for i in g] for g in enumeration._groups(parents, partner, w)]
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -131,7 +219,7 @@ def test_reps_same_for_any_number_of_slices(monkeypatch, forks, n, w):
 
 
 def test_reps_small_levels_stay_in_process(monkeypatch, forks):
-    # 11 parents on 4 vertices make one slice; 34 on 5 make two
+    # 11 parents on 4 vertices make one group; 34 on 5 make two
     monkeypatch.setattr(enumeration, "_cpus", lambda: 8)
     for n in range(1, 7):
         assert enumeration._reps.__wrapped__(n) == enumeration._reps(n)
@@ -163,7 +251,7 @@ def test_reps_recomputes_a_slice_whose_fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     mine = split_children(monkeypatch, lambda forms, parents: forms)
     assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
-    assert mine == [78, 78]
+    assert mine == pair_groups(7, 2)
 
 
 def test_reps_recomputes_the_slice_of_a_failed_helper(monkeypatch, forks):
@@ -176,7 +264,7 @@ def test_reps_recomputes_the_slice_of_a_failed_helper(monkeypatch, forks):
     assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
     assert_no_helper_left()
     assert len(forks) == 1
-    assert mine == [78, 78]
+    assert mine == pair_groups(7, 2)
 
 
 def test_reps_recomputes_the_slice_of_a_truncated_blob(monkeypatch, forks):
@@ -186,17 +274,17 @@ def test_reps_recomputes_the_slice_of_a_truncated_blob(monkeypatch, forks):
     assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
     assert_no_helper_left()
     assert len(forks) == 1
-    assert mine == [78, 78]
+    assert mine == pair_groups(7, 2)
 
 
 def test_reps_reaps_its_helpers_when_it_raises(monkeypatch, forks):
     monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
     main, children = os.getpid(), enumeration._children
 
-    def wrapper(n, parents):
+    def wrapper(n, parents, partner):
         if os.getpid() == main:
             raise KeyboardInterrupt
-        return children(n, parents)
+        return children(n, parents, partner)
 
     monkeypatch.setattr(enumeration, "_children", wrapper)
     with pytest.raises(KeyboardInterrupt):
@@ -205,17 +293,16 @@ def test_reps_reaps_its_helpers_when_it_raises(monkeypatch, forks):
     assert_no_helper_left()
 
 
-def test_unpack_takes_exactly_its_parents():
-    parents = enumeration._reps(5)[0][:3]
-    want = list(enumeration._children(6, parents))
-    blob = b"".join(
-        len(forms).to_bytes(2, "little") + b"".join(bytes(c.rows) for c in forms) for forms in want
-    )
-    assert list(enumeration._unpack(6, blob, 3)) == want
+def test_spans_take_exactly_their_parents():
+    parents, partner = partners(6)
+    want = list(enumeration._children(6, parents[:3], partner))
+    blob = enumeration._pack(want)
+    spans = enumeration._spans(6, blob, 3)
+    assert [[Graph(6, tuple(blob[j:j + 6])) for j in range(a, b, 6)] for a, b in spans] == want
     for bad in (blob[:-1], blob[:-6], blob + b"\0", blob[:1], b""):
-        assert enumeration._unpack(6, bad, 3) is None
-    assert enumeration._unpack(6, blob, 2) is None
-    assert enumeration._unpack(6, blob, 4) is None
+        assert enumeration._spans(6, bad, 3) is None
+    assert enumeration._spans(6, blob, 2) is None
+    assert enumeration._spans(6, blob, 4) is None
 
 
 def test_reps_records_every_card():

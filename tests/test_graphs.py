@@ -93,6 +93,17 @@ def test_induced_subgraph_keeps_given_order():
     assert sub.has_edge(0, 1) and sub.has_edge(1, 2) and not sub.has_edge(0, 2)
 
 
+def test_induced_subgraph_rejects_bad_vertices():
+    # a repeated vertex once gave rows that were not symmetric, and -1
+    # silently meant the last vertex
+    with pytest.raises(ValidationError, match="vertex 1 repeated"):
+        induced_subgraph(path_graph(3), [0, 1, 1])
+    with pytest.raises(ValidationError, match=r"vertex -1 outside \[0, 3\)"):
+        induced_subgraph(path_graph(3), [0, -1])
+    with pytest.raises(ValidationError, match=r"vertex 3 outside \[0, 3\)"):
+        induced_subgraph(path_graph(3), [3])
+
+
 def test_relabel_reverses():
     # induced_subgraph on a permutation of all vertices relabels: new
     # vertex i is old vertex perm[i]
