@@ -57,6 +57,10 @@ EXIT_PARAMETER = 7
 EXIT_IO = 8
 
 _KIND_NAMES = [k.value for k in TnfKind]
+# most edge counts `bounds --json` lists, since the list and its text
+# are built in memory (n = 4096, 4,192,256 entries, writes 54 MB);
+# the plain output prints a region's endpoints at any n
+BOUNDS_JSON_CAP = 1 << 22
 
 
 def _input_graph(args) -> tuple[Graph, str]:
@@ -159,6 +163,10 @@ def cmd_bounds(args) -> str:
     kind = TnfKind(args.kind)
     region, exact = tnf_infeasible_region(kind, args.k, args.n)
     if args.json:
+        # stop - start, since len() overflows past sys.maxsize
+        size = region.stop - region.start
+        if size > BOUNDS_JSON_CAP:
+            raise CapacityError(f"bounds --json lists at most {BOUNDS_JSON_CAP} edge counts, got {size}")
         return json.dumps(
             {
                 "kind": kind.value,

@@ -8,12 +8,13 @@ runs always agree.
 
 Each order is built by giving every class one order down, a parent,
 one more vertex. Complementation maps the children of a parent P onto
-those of its complement class, so only one parent of each such pair has
-its children canonicalized; the other's forms are the complements of
-its partner's, canonicalized once per class. The pairs are cut into
-contiguous groups, one per CPU; forked helpers work through every group
-but the first, and the calling process merges all the forms in class
-order, so the classes and their order are those of one process.
+those of its complement class. So parents come in units, P with its
+complement class, served by one search of complement(P); only P has
+its children canonicalized, and its partner's forms are the complements
+of P's. The units are cut into contiguous runs, one per CPU; forked
+helpers work through every run but the first, and the calling process
+merges all the forms in class order, so the classes and their order
+are those of one process.
 
 The classes come in a fixed order. For n <= 6 they are sorted by their
 labeled adjacency code (bit i for the i-th vertex pair in lexicographic
@@ -45,10 +46,10 @@ from .graphs import Graph, complement, induced_subgraph
 from .iso import _aut_generators, _search, canonical_form
 
 ENUMERATION_CAP = 8
-# fewest parents per group: forking a helper and reaping it costs about
+# fewest parents per run: forking a helper and reaping it costs about
 # 4-6 ms, while the 11 parents on 4 vertices take 6.5 ms in all, and the
 # 34 on 5 take 39 ms in process against 31 ms in two slices
-_MIN_GROUP = 16
+_MIN_RUN = 16
 
 
 def _check_n(n: int) -> None:
@@ -81,48 +82,50 @@ def _reps(n: int) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
     the masks are rebuilt after the sort, with the bits at the sorted
     positions.
 
-    _groups puts each parent next to its complement class, the partner
-    _partners finds, and cuts those units, in class order, into
-    contiguous groups, one per CPU the process may run on but none for
-    fewer than _MIN_GROUP parents. Partners share a group, so _children
-    canonicalizes the children of only one of them. A forked helper runs
-    _children on each group but the first and writes the forms to a
-    pipe; this process packs the first group's forms the same way, n
-    bytes a child, and _merge then reads every parent's forms in class
-    order. Every parent's children thus meet its index in the same
-    sequence as in a single process, so the discovery order and the
-    masks depend neither on the number of groups nor on which parent of
-    a pair took the complement path. No helper is forked where os.fork is
-    missing or a second thread runs, since a forked copy of a threaded
-    process may hold a lock no thread will release. A group whose fork
-    fails, whose helper exits nonzero, or whose blob does not decode to
-    exactly its parents is recomputed here, and every helper not yet
-    reaped is killed and reaped before _reps returns or raises.
+    _units pairs each parent with its complement class, and _reps cuts
+    those units, in class order, into contiguous runs, one per CPU the
+    process may run on but none for fewer than _MIN_RUN parents. Both
+    parents of a unit go to one run, so _children canonicalizes the
+    children of only one of them. A forked helper runs _children on each
+    run but the first and writes the forms to a pipe; this process packs
+    the first run's forms the same way, n bytes a child, and _merge then
+    reads every parent's forms in class order. Every parent's children
+    thus meet its index in the same sequence as in a single process, so
+    the discovery order and the masks depend neither on the number of
+    runs nor on which parent of a pair took the complement path. No
+    helper is forked where os.fork is missing or a second thread runs,
+    since a forked copy of a threaded process may hold a lock no thread
+    will release. A run whose fork fails, whose helper exits nonzero, or
+    whose blob does not decode to exactly its parents is recomputed
+    here, and every helper not yet reaped is killed and reaped before
+    _reps returns or raises.
     """
     if n == 0:
         return (Graph(0, ()),), ()
     parents = _reps(n - 1)[0]
-    partner = _partners(parents)
-    w = max(1, min(_cpus(), len(parents) // _MIN_GROUP))
+    units = _units(parents)
+    w = max(1, min(_cpus(), len(parents) // _MIN_RUN))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         w = 1
-    groups = _groups(parents, partner, w)
+    runs = [units[len(units) * k // w:len(units) * (k + 1) // w] for k in range(w)]
 
     def pack(k):
-        return _pack(_children(n, [parents[i] for i in groups[k]], partner))
+        return _pack(_children(n, parents, runs[k]))
 
     # spans[i]: the blob holding parents[i]'s forms, and where they lie in it
     spans: list[tuple[bytes, int, int] | None] = [None] * len(parents)
 
     def place(k, blob):
-        where = None if blob is None else _spans(n, blob, len(groups[k]))
+        # the parents of run k in _children's order
+        order = [x for i, j, _, _ in runs[k] for x in ((i,) if i == j else (i, j))]
+        where = None if blob is None else _spans(n, blob, len(order))
         if where is None:
             return False
-        for i, (a, b) in zip(groups[k], where):
+        for i, (a, b) in zip(order, where):
             spans[i] = blob, a, b
         return True
 
-    # helpers[k]: (pid, pipe) of the helper running group k, until reaped
+    # helpers[k]: (pid, pipe) of the helper running run k, until reaped
     helpers: dict[int, tuple[int, BinaryIO]] = {}
     try:
         for k in range(1, w):
@@ -162,52 +165,42 @@ def _merge(n: int, spans) -> tuple[list[bytes], list[int]]:
     return list(index), up
 
 
-def _partners(parents) -> dict[Graph, tuple[Graph, tuple[int, ...]]]:
-    """For each parent P, its complement class Q, the one of parents
-    isomorphic to complement(P), and an isomorphism lam from Q to
-    complement(P): Q's vertex k is complement(P)'s vertex lam[k].
+def _units(parents) -> list[tuple[int, int, tuple[int, ...], list[tuple[int, ...]]]]:
+    """One (i, j, lam, gens) per complement pair of parents, in class
+    order of i: parents[j] is the complement class of parents[i], with
+    j >= i, and j == i for a self-complementary parent; lam is an
+    isomorphism from parents[j] onto complement(parents[i]), parents[j]'s
+    vertex k being complement(parents[i])'s vertex lam[k]; and gens
+    generate Aut(parents[i]).
 
-    One search serves a pair. Q is canonical_form(complement(P)), which
-    relabels complement(P) by lam, the first leaf of its search.
-    Complementing both sides, complement(Q) is P relabelled by lam, so
-    the inverse of lam does for Q what lam does for P.
+    One search serves a pair. parents[j] is canonical_form(complement(P)),
+    which relabels complement(P) by lam, the first leaf of its search.
+    The same leaves give gens: P and complement(P) have the same
+    automorphisms, since a permutation keeps the edges iff it keeps the
+    non-edges, and the same twin classes, since N(u) = N(v) in P iff u
+    and v have the same closed neighbourhood in complement(P), and the
+    other way round. So the tied leaves and twin swaps that generate
+    Aut(complement(P)) generate Aut(P).
     """
     pos = {p: i for i, p in enumerate(parents)}
-    out = {}
-    for p in parents:
-        if p in out:
-            continue
-        co = complement(p)
-        lam = _search(co)[0]
-        q = parents[pos[induced_subgraph(co, lam)]]
-        inv = [0] * len(lam)
-        for k, v in enumerate(lam):
-            inv[v] = k
-        out[q] = p, tuple(inv)
-        out[p] = q, lam
-    return out
-
-
-def _groups(parents, partner, w: int) -> list[list[int]]:
-    """The indices of parents cut into w contiguous groups of units: each
-    parent before its partner, or alone when it is its own complement,
-    in class order of the unit's first parent."""
-    pos = {p: i for i, p in enumerate(parents)}
+    done = bytearray(len(parents))
     units = []
     for i, p in enumerate(parents):
-        j = pos[partner[p][0]]
-        if j == i:
-            units.append([i])
-        elif j > i:
-            units.append([i, j])
-    cuts = [len(units) * k // w for k in range(w + 1)]
-    return [[i for unit in units[a:b] for i in unit] for a, b in zip(cuts, cuts[1:])]
+        if done[i]:
+            continue
+        co = complement(p)
+        leaves = _search(co)
+        j = pos[induced_subgraph(co, leaves[0])]
+        done[j] = 1
+        units.append((i, j, leaves[0], _aut_generators(co, leaves)))
+    return units
 
 
-def _children(n: int, parents, partner) -> Iterator[list[Graph]]:
-    """For each parent on n - 1 vertices, in order, the canonical forms of
-    its children whose new vertex's mask is least in its orbit under
-    Aut(parent), in mask order; partner is _partners' map.
+def _children(n: int, parents, units) -> Iterator[list[Graph]]:
+    """For each unit of _units, the lists of parents[i] and then, unless
+    j == i, of parents[j]: the canonical forms of the parent's children
+    whose new vertex's mask is least in its orbit under Aut(parent), in
+    mask order.
 
     A mask is skipped unless it is the least of its orbit. Some
     automorphism maps the orbit's least mask, met earlier, onto the
@@ -216,53 +209,32 @@ def _children(n: int, parents, partner) -> Iterator[list[Graph]]:
     is already kept and neither the set of classes nor their order
     changes.
 
-    A parent P whose complement class Q came earlier in the same call
-    takes the complement path. Q's own partner entry maps P onto
-    complement(Q): P's vertex j is complement(Q)'s vertex mu[j]. The
-    child P + S has as complement complement(P) plus a vertex joined to
-    the vertices outside S, which mu relabels to Q + T, where T holds
-    the mu[j] with j not in S. So P + S and complement(Q + T) are
-    isomorphic, and Q's form C for the orbit of T gives P + S the form
-    canonical_form(complement(C)), cached per class both ways. The
-    relabelling maps orbits of Aut(P) onto orbits of Aut(Q), so the
-    masks S whose T meets an orbit first are the least of their orbits
-    under Aut(P), and P's list is the one the direct path gives.
+    P = parents[i] takes the direct path. Aut(P) comes as the unit's
+    generators, not as a list of its elements. An orbit is the closure
+    of its least mask under the generators, since every automorphism is
+    a product of them and Aut(P) is finite, so a worklist that applies
+    each generator to each mask it reaches marks exactly the orbit.
 
-    Any other parent takes the direct path. Aut(P) comes as generators
-    from _aut_generators, not as a list of its elements. An orbit is the
-    closure of its least mask under the generators, since every
-    automorphism is a product of them and Aut(P) is finite, so a worklist
-    that applies each generator to each mask it reaches marks exactly
-    the orbit. The orbit of every mask and the forms are kept for P's
-    partner.
+    Q = parents[j] takes the complement path, off P's orbits and forms.
+    Q's vertex k is complement(P)'s vertex lam[k]. The child Q + S has
+    as complement complement(Q) plus a vertex joined to the vertices
+    outside S, which lam relabels to P + T, where T holds the lam[k]
+    with k not in S. So Q + S and complement(P + T) are isomorphic, and
+    P's form C for the orbit of T gives Q + S the form
+    canonical_form(complement(C)), cached per class both ways. The
+    relabelling maps orbits of Aut(Q) onto orbits of Aut(P), so the
+    masks S whose T meets an orbit first are the least of their orbits
+    under Aut(Q), and Q's list is the one the direct path gives.
     """
     full = (1 << (n - 1)) - 1
-    # tables[P]: the orbit index of every mask, and the form of each orbit
-    tables: dict[Graph, tuple[list[int], list[Graph]]] = {}
     # flip[C]: canonical_form(complement(C))
     flip: dict[Graph, Graph] = {}
-    for parent in parents:
-        q = partner[parent][0]
-        forms = []
-        if q in tables:
-            orbit, qforms = tables.pop(q)
-            seen = bytearray(len(qforms))
-            for t in _images(partner[q][1]):
-                o = orbit[full ^ t]
-                if not seen[o]:
-                    seen[o] = 1
-                    c = qforms[o]
-                    d = flip.get(c)
-                    if d is None:
-                        d = flip[c] = canonical_form(complement(c))
-                        flip[d] = c
-                    forms.append(d)
-            yield forms
-            continue
-        prows = parent.rows
+    for i, j, lam, gens in units:
+        prows = parents[i].rows
         # images[k][mask]: the image of mask under the k-th generator
-        images = [_images(perm) for perm in _aut_generators(parent)]
+        images = [_images(perm) for perm in gens]
         orbit = [-1] * (full + 1)
+        forms = []
         for mask in range(full + 1):
             if orbit[mask] >= 0:
                 continue
@@ -278,8 +250,22 @@ def _children(n: int, parents, partner) -> Iterator[list[Graph]]:
             rows = [prows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
             rows.append(mask)
             forms.append(canonical_form(Graph(n, tuple(rows))))
-        tables[parent] = orbit, forms
         yield forms
+        if j == i:
+            continue
+        seen = bytearray(len(forms))
+        flipped = []
+        for t in _images(lam):
+            o = orbit[full ^ t]
+            if not seen[o]:
+                seen[o] = 1
+                c = forms[o]
+                d = flip.get(c)
+                if d is None:
+                    d = flip[c] = canonical_form(complement(c))
+                    flip[d] = c
+                flipped.append(d)
+        yield flipped
 
 
 def _images(perm) -> list[int]:

@@ -13,9 +13,10 @@ closes the gap, so the result is exact. A discrete coloring, one vertex
 per color, allows one ordering, which is then the answer without any
 search. canonical_form relabels its graph by the first ordering found,
 through graphs.induced_subgraph, the package's one relabel.
-_aut_generators reads generators of Aut(g) off the orderings that tie
-and the twin swaps the search skips; the skips hide some tied
-orderings, so these generate Aut(g) without listing it.
+_aut_generators(g, leaves) reads generators of Aut(g) off the orderings
+that tie in g's search, handed over so that no search runs twice, and
+the twin swaps the search skips; the skips hide some tied orderings,
+so these generate Aut(g) without listing it.
 
 The search skips twins but is otherwise factorial in the size of the
 color cells. It runs on every graph FamilySpec is given, up to 64
@@ -188,8 +189,9 @@ def canonical_form(g: Graph) -> Graph:
     return induced_subgraph(g, _search(g)[0])
 
 
-def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of Aut(g), each as perm with perm[v] the image of v.
+def _aut_generators(g: Graph, leaves: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), each as perm with perm[v] the image of v,
+    from leaves, the orderings _search(g) returns.
 
     Two kinds: the map from the first ordering that reaches the least
     code in canonical_form's search to each later one, and for each twin
@@ -204,7 +206,6 @@ def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
     reached from the first leaf by the two kinds together.
     """
     n = g.order
-    leaves = _search(g)
     slot = [0] * n
     for i, v in enumerate(leaves[0]):
         slot[v] = i

@@ -48,7 +48,7 @@ from indfree import (
     make_graph,
 )
 from indfree.errors import byte_offset
-from indfree.iso import _aut_generators
+from indfree.iso import _aut_generators, _search
 
 _SHORT_MAX = 62
 
@@ -253,7 +253,7 @@ def reference_children(n: int, parents):
     for parent in parents:
         prows = parent.rows
         images = []
-        for perm in _aut_generators(parent):
+        for perm in _aut_generators(parent, _search(parent)):
             img = [0]
             for v in range(n - 1):
                 bit = 1 << perm[v]

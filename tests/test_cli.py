@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from indfree import (
     path_graph,
     uep_witness,
 )
-from indfree.cli import EXIT_CODES, build_parser, main
+from indfree.cli import BOUNDS_JSON_CAP, EXIT_CODES, build_parser, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
@@ -350,6 +351,44 @@ def test_bounds_human_at_large_n(capsys):
     code, out, _ = run(capsys, "bounds", "Clique", "3", "20000")
     assert code == 0
     assert "known infeasible m: [100000001, 199990000]" in out
+
+
+def bounds_json_under_a_memory_limit(n, out):
+    # a process past its address-space limit fails here instead of
+    # exhausting the machine's memory
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+    return subprocess.run(
+        [sys.executable, "-m", "indfree", "bounds", "Clique", "3", str(n), "--json", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        preexec_fn=limit,
+        timeout=60,
+    )
+
+
+def test_bounds_json_caps_the_listed_region(tmp_path):
+    out = tmp_path / "bounds.json"
+    # 24,995,000 entries once ended in a MemoryError traceback, exit 1
+    proc = bounds_json_under_a_memory_limit(10000, out)
+    assert proc.returncode == 4
+    assert proc.stderr == f"error: bounds --json lists at most {BOUNDS_JSON_CAP} edge counts, got 24995000\n"
+    assert not out.exists()
+    # 4,192,256 entries fit under the cap and the limit
+    proc = bounds_json_under_a_memory_limit(4096, out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(out, "rb") as fh:
+        head = fh.read(200).decode()
+        fh.seek(-100, os.SEEK_END)
+        tail = fh.read().decode()
+    assert '"infeasible": [\n    4194305,\n' in head
+    assert tail.endswith("    8386560\n  ],\n  \"exact\": true\n}\n")
+    # len() of this region would overflow
+    proc = bounds_json_under_a_memory_limit(10**10, out)
+    assert proc.returncode == 4
+    assert proc.stderr.endswith(" got 24999999995000000000\n")
 
 
 def test_bounds_parameter_exit(capsys):

@@ -31,10 +31,13 @@ from indfree import (
     table_to_csv,
     table_to_json,
 )
-from indfree import enumeration
+from indfree import enumeration, iso
+from indfree.iso import _aut_generators, _search
 from oracles import (
+    generated_group,
     orbit_class_count,
     orbit_size_total,
+    reference_automorphisms,
     reference_children,
     reference_feasible_pairs,
 )
@@ -75,98 +78,138 @@ def test_class_sequence_is_pinned():
 # see it
 CHILDREN_PER_ORBIT = {1: 1, 2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79264}
 
-# canonical_form calls _reps makes in one process: a parent whose
-# complement class came first in its group reads its children's forms
-# off that class's, canonicalizing each complement once (no parent on 7
-# vertices is its own complement, so n = 8 makes 79264 / 2 direct calls
-# and 6178 complements)
+# canonical_form calls _reps makes in one process: the second parent of
+# each unit reads its children's forms off the first's, canonicalizing
+# each complement once (no parent on 7 vertices is its own complement,
+# so n = 8 makes 79264 / 2 direct calls and 6178 complements)
 CANONICAL_FORM_CALLS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 67, 6: 364, 7: 3070, 8: 45810}
+
+# _search calls _reps makes in one process: one per canonical_form and
+# one per unit, which both pairs the unit's parents and generates the
+# first's automorphism group; a second search for the group would add
+# one more per unit, 522 at n = 8
+SEARCH_CALLS = {1: 2, 2: 3, 3: 6, 4: 18, 5: 73, 6: 382, 7: 3148, 8: 46332}
 
 
 def test_reps_canonicalizes_one_child_per_orbit(monkeypatch):
     enumeration._reps(7)
     # in one process, since a forked helper's calls never reach these
     monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
-    calls = []
+    calls, searches = [], []
     canon = enumeration.canonical_form
     monkeypatch.setattr(enumeration, "canonical_form", lambda g: calls.append(1) or canon(g))
+    search = iso._search
+
+    def counted_search(g):
+        searches.append(1)
+        return search(g)
+
+    # canonical_form reads iso's name, _units enumeration's
+    monkeypatch.setattr(iso, "_search", counted_search)
+    monkeypatch.setattr(enumeration, "_search", counted_search)
     kids = []
     children = enumeration._children
 
-    def counted(n, parents, partner):
-        for forms in children(n, parents, partner):
+    def counted(n, parents, units):
+        for forms in children(n, parents, units):
             kids.append(len(forms))
             yield forms
 
     monkeypatch.setattr(enumeration, "_children", counted)
-    got, made = {}, {}
+    got, made, searched = {}, {}, {}
     for n in CHILDREN_PER_ORBIT:
         calls.clear()
         kids.clear()
+        searches.clear()
         # the uncached body, discarded; the parents come from the cache
         enumeration._reps.__wrapped__(n)
-        got[n], made[n] = len(calls), sum(kids)
+        got[n], made[n], searched[n] = len(calls), sum(kids), len(searches)
     assert made == CHILDREN_PER_ORBIT
     assert sum(made.values()) == 85023
     assert got == CANONICAL_FORM_CALLS
+    assert searched == SEARCH_CALLS
 
 
-def partners(n):
+def unit_list(n):
     parents = enumeration._reps(n - 1)[0]
-    return parents, enumeration._partners(parents)
+    return parents, enumeration._units(parents)
+
+
+def cut(units, w):
+    """units cut into w contiguous runs, as _reps cuts them."""
+    return [units[len(units) * k // w:len(units) * (k + 1) // w] for k in range(w)]
+
+
+def run_parents(run):
+    """The parent indices of a run, in the order _children yields them."""
+    return [x for i, j, _, _ in run for x in ((i,) if i == j else (i, j))]
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_children_match_reference(n):
-    parents, partner = partners(n)
+    parents, units = unit_list(n)
     want = list(reference_children(n, parents))
-    # (a) in class order, partners far apart, and in reverse, where the
-    # later partner of each pair comes first
-    assert list(enumeration._children(n, parents, partner)) == want
-    assert list(enumeration._children(n, parents[::-1], partner)) == want[::-1]
-    # (b) in the groups _reps makes, merged back into class order
+    # (a) in runs of units, merged back into class order
     for w in (1, 2, 3):
         got = [None] * len(parents)
-        for group in enumeration._groups(parents, partner, w):
-            lists = enumeration._children(n, [parents[i] for i in group], partner)
-            for i, forms in zip(group, lists):
+        for run in cut(units, w):
+            for i, forms in zip(run_parents(run), enumeration._children(n, parents, run)):
                 got[i] = forms
         assert got == want, w
-    # (c) one parent a call, so every partner takes the direct path
-    assert [next(enumeration._children(n, [p], partner)) for p in parents] == want
+    # (b) every parent a unit of its own, so every parent takes the direct path
+    own = [(i, i, None, _aut_generators(p, _search(p))) for i, p in enumerate(parents)]
+    assert list(enumeration._children(n, parents, own)) == want
 
 
-def test_partners_pair_each_parent_with_its_complement():
+def test_units_pair_each_parent_with_its_complement():
     for n in range(1, 9):
-        parents, partner = partners(n)
-        assert set(partner) == set(parents)
-        for p in parents:
-            q, lam = partner[p]
-            assert partner[q][0] == p
-            assert q == canonical_form(complement(p))
-            # lam maps q onto complement(p): q's vertex k is its vertex lam[k]
-            assert induced_subgraph(complement(p), lam) == q
+        parents, units = unit_list(n)
+        # every parent in exactly one unit, the units in class order of i
+        assert sorted(run_parents(units)) == list(range(len(parents)))
+        firsts = [i for i, _, _, _ in units]
+        assert firsts == sorted(set(firsts))
+        for i, j, lam, _ in units:
+            assert i <= j
+            assert parents[j] == canonical_form(complement(parents[i]))
+            # lam maps parents[j] onto complement(parents[i]): parents[j]'s
+            # vertex k is its vertex lam[k]
+            assert induced_subgraph(complement(parents[i]), lam) == parents[j]
 
 
-def test_groups_keep_partners_together():
+def test_unit_generators_generate_the_parent_group():
+    # read off complement(P)'s search, they generate Aut(complement P) = Aut(P)
+    for n in range(1, 9):
+        parents, units = unit_list(n)
+        for i, _, _, gens in units:
+            assert generated_group(gens, n - 1) == set(reference_automorphisms(parents[i])), (n, i)
+
+
+def no_fork():
+    raise OSError("no fork")
+
+
+def test_groups_keep_partners_together(monkeypatch):
+    # every fork fails, so this process takes every run _reps cuts, and
+    # _children only records them
+    monkeypatch.setattr(os, "fork", no_fork)
+    seen = []
+
+    def record(n, parents, units):
+        seen.append(units)
+        return [[] for _ in run_parents(units)]
+
+    monkeypatch.setattr(enumeration, "_children", record)
     for n in (6, 7, 8):
-        parents, partner = partners(n)
-        pos = {p: i for i, p in enumerate(parents)}
+        parents, units = unit_list(n)
         for w in (1, 2, 3):
-            groups = enumeration._groups(parents, partner, w)
-            assert len(groups) == w
-            assert sorted(i for g in groups for i in g) == list(range(len(parents)))
-            firsts = []
-            for g in groups:
-                for i in g:
-                    j = pos[partner[parents[i]][0]]
-                    assert j in g
-                    if i <= j:
-                        firsts.append(i)
-            # the units come in class order of their first parent
-            assert firsts == sorted(firsts)
-        assert [len(g) for g in enumeration._groups(parents, partner, 2)] == {
-            6: [17, 17], 7: [78, 78], 8: [522, 522]}[n]
+            monkeypatch.setattr(enumeration, "_cpus", lambda: w)
+            seen.clear()
+            enumeration._reps.__wrapped__(n)
+            # whole units, in class order of their first parent
+            assert seen == cut(units, min(w, len(parents) // enumeration._MIN_RUN))
+            if w == 2:
+                assert [len(run_parents(run)) for run in seen] == {
+                    6: [17, 17], 7: [78, 78], 8: [522, 522]}[n]
 
 
 def assert_no_helper_left():
@@ -184,27 +227,26 @@ def forks(monkeypatch):
     return made
 
 
-def split_children(monkeypatch, helper_group):
-    """Run helper_group(forms, parents) in place of _children in forked
-    helpers; return the list of the parents of this process's own
+def split_children(monkeypatch, helper_run):
+    """Run helper_run(lists, units) in place of _children in forked
+    helpers; return the list of the units of this process's own
     _children calls."""
     main, mine = os.getpid(), []
     children = enumeration._children
 
-    def wrapper(n, parents, partner):
+    def wrapper(n, parents, units):
         if os.getpid() != main:
-            return helper_group(children(n, parents, partner), parents)
-        mine.append(parents)
-        return children(n, parents, partner)
+            return helper_run(children(n, parents, units), units)
+        mine.append(units)
+        return children(n, parents, units)
 
     monkeypatch.setattr(enumeration, "_children", wrapper)
     return mine
 
 
-def pair_groups(n, w):
-    """The parents of each group _reps(n) makes with w groups."""
-    parents, partner = partners(n)
-    return [[parents[i] for i in g] for g in enumeration._groups(parents, partner, w)]
+def unit_runs(n, w):
+    """The runs of units _reps(n) makes with w runs."""
+    return cut(unit_list(n)[1], w)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -245,46 +287,44 @@ def test_reps_recomputes_a_slice_whose_fork_fails(monkeypatch):
     enumeration._reps(7)
     monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
 
-    def fork():
-        raise OSError("no fork")
-
-    monkeypatch.setattr(os, "fork", fork)
-    mine = split_children(monkeypatch, lambda forms, parents: forms)
+    monkeypatch.setattr(os, "fork", no_fork)
+    mine = split_children(monkeypatch, lambda lists, units: lists)
     assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
-    assert mine == pair_groups(7, 2)
+    assert mine == unit_runs(7, 2)
 
 
 def test_reps_recomputes_the_slice_of_a_failed_helper(monkeypatch, forks):
     monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
 
-    def crash(forms, parents):
+    def crash(lists, units):
         os._exit(3)
 
     mine = split_children(monkeypatch, crash)
     assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
     assert_no_helper_left()
     assert len(forks) == 1
-    assert mine == pair_groups(7, 2)
+    assert mine == unit_runs(7, 2)
 
 
 def test_reps_recomputes_the_slice_of_a_truncated_blob(monkeypatch, forks):
     monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
     # the helper writes its parents' forms but the last's, and exits 0
-    mine = split_children(monkeypatch, lambda forms, parents: itertools.islice(forms, len(parents) - 1))
+    mine = split_children(
+        monkeypatch, lambda lists, units: itertools.islice(lists, len(run_parents(units)) - 1))
     assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
     assert_no_helper_left()
     assert len(forks) == 1
-    assert mine == pair_groups(7, 2)
+    assert mine == unit_runs(7, 2)
 
 
 def test_reps_reaps_its_helpers_when_it_raises(monkeypatch, forks):
     monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
     main, children = os.getpid(), enumeration._children
 
-    def wrapper(n, parents, partner):
+    def wrapper(n, parents, units):
         if os.getpid() == main:
             raise KeyboardInterrupt
-        return children(n, parents, partner)
+        return children(n, parents, units)
 
     monkeypatch.setattr(enumeration, "_children", wrapper)
     with pytest.raises(KeyboardInterrupt):
@@ -294,15 +334,16 @@ def test_reps_reaps_its_helpers_when_it_raises(monkeypatch, forks):
 
 
 def test_spans_take_exactly_their_parents():
-    parents, partner = partners(6)
-    want = list(enumeration._children(6, parents[:3], partner))
+    parents, units = unit_list(6)
+    want = list(enumeration._children(6, parents, units[:2]))
+    k = len(want)
     blob = enumeration._pack(want)
-    spans = enumeration._spans(6, blob, 3)
+    spans = enumeration._spans(6, blob, k)
     assert [[Graph(6, tuple(blob[j:j + 6])) for j in range(a, b, 6)] for a, b in spans] == want
     for bad in (blob[:-1], blob[:-6], blob + b"\0", blob[:1], b""):
-        assert enumeration._spans(6, bad, 3) is None
-    assert enumeration._spans(6, blob, 2) is None
-    assert enumeration._spans(6, blob, 4) is None
+        assert enumeration._spans(6, bad, k) is None
+    assert enumeration._spans(6, blob, k - 1) is None
+    assert enumeration._spans(6, blob, k + 1) is None
 
 
 def test_reps_records_every_card():

@@ -29,7 +29,7 @@ from indfree import (
     witness,
     wl_colors,
 )
-from indfree.iso import _aut_generators, _partner_blocks, _twin_masks
+from indfree.iso import _aut_generators, _partner_blocks, _search, _twin_masks
 from oracles import (
     apply_perm,
     brute_contains_induced,
@@ -221,7 +221,7 @@ def test_automorphisms_match_reference(g):
     # automorphisms keep wl_colors, so the product of the factorials of
     # the cell sizes bounds |Aut(g)|; bigger groups take seconds to list
     assume(prod(map(factorial, Counter(wl_colors(g)).values())) <= 5040)
-    group = generated_group(_aut_generators(g), g.order)
+    group = generated_group(_aut_generators(g, _search(g)), g.order)
     assert group == set(reference_automorphisms(g))
 
 
