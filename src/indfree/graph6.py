@@ -17,11 +17,25 @@ number of base64 groups (24 bits), encodes, translates the alphabet to
 bytes 63..126 and cuts the characters that hold only padding; decoding
 runs the same steps backwards. The text is byte-identical to packing the
 bits one at a time.
+
+Both directions hold the bit stream as one integer read backwards, the
+first bit lowest, so that column v (bits u = 0..v-1 of row v) starts at
+bit v(v-1)/2. The base64 bytes carry the stream first bit first, most
+significant first; reversing the bits of every byte through a 256-entry
+table and reading the bytes little-endian turns one into the other.
+Decoding cuts each column out as the lower part of its row and packs the
+n rows, 64 bits apiece, into one integer: an n x 64 bit matrix holding
+the graph's lower triangle. Its transpose is the upper triangle, taken
+by rounds that swap the off-diagonal blocks of side 32, 16, ..., 1 with
+one mask, shift and xor each, skipping those of side n or more, which
+would move nothing. The two ORed together unpack into the rows as
+little-endian 64-bit words.
 """
 
 from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
+from struct import pack, unpack
 
 from .errors import CapacityError, ParseError, byte_offset
 from .graphs import MAX_ORDER, Graph
@@ -31,6 +45,24 @@ _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6 = bytes(range(63, 127))
 _TO_G6 = bytes.maketrans(_B64, _G6)
 _FROM_G6 = bytes.maketrans(_G6, _B64)
+# byte b with its eight bits in reverse order, from the nibbles reversed
+_NIBBLE = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
+_REVERSE = bytes([_NIBBLE[b & 15] << 4 | _NIBBLE[b >> 4] for b in range(256)])
+
+
+def _round(s: int) -> tuple[int, int]:
+    """One transpose round: the shift from bit 64r + c to its partner
+    (r + s, c - s), and the mask of the lower bit of each pair, the bits
+    (r, c) with bit s of r clear and bit s of c set."""
+    # columns: s ones above s zeros, repeated; rows: s of that word, s of zeros
+    word = ((1 << 64) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1 << s)
+    rows = (word.to_bytes(8, "little") * s + bytes(8 * s)) * (32 // s)
+    return 63 * s, int.from_bytes(rows, "little")
+
+
+_ROUNDS = tuple([_round(s) for s in (32, 16, 8, 4, 2, 1)])
+# column v of the stream: its offset v(v-1)/2 and the mask of its v bits
+_COLUMNS = tuple([(v * (v - 1) // 2, (1 << v) - 1) for v in range(MAX_ORDER + 1)])
 
 
 def encode_graph6(g: Graph) -> str:
@@ -42,15 +74,11 @@ def encode_graph6(g: Graph) -> str:
     else:
         head = "~" + "".join([chr((n >> s & 63) + 63) for s in (12, 6, 0)])
     nbits = n * (n - 1) // 2
-    rows = g.rows
-    # The bit stream backwards, as one integer: column v (bits u = 0..v-1
-    # of row v) starts at bit v(v-1)/2, u = 0 lowest.
     back = 0
-    for v in range(1, n):
-        back |= (rows[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
-    bits = format(back, f"0{nbits}b")[::-1]
-    pad = -nbits % 24
-    data = (int(bits, 2) << pad).to_bytes((nbits + pad) // 8, "big")
+    for row, (offset, mask) in zip(g.rows, _COLUMNS):
+        back |= (row & mask) << offset
+    # whole base64 groups of 24 bits, the stream first bit first
+    data = back.to_bytes(-(-nbits // 24) * 3, "little").translate(_REVERSE)
     body = b2a_base64(data, newline=False).translate(_TO_G6)
     return head + body[: (nbits + 5) // 6].decode("ascii")
 
@@ -97,22 +125,21 @@ def decode_graph6(text: str) -> Graph:
         raise ParseError(f"invalid graph6 byte {body[bad]!r}", pos + bad)
     data = body.encode("ascii").translate(_FROM_G6)
     data += b"A" * (-len(data) % 4)
-    pad = 6 * len(data) - nbits
-    value = int.from_bytes(a2b_base64(data), "big")
-    if value & ((1 << pad) - 1):
+    back = int.from_bytes(a2b_base64(data).translate(_REVERSE), "little")
+    if back >> nbits:
         raise ParseError("nonzero padding bits", need - 1)
-    back = format(value >> pad, f"0{nbits}b")[::-1]
-    # The stream backwards lists column n-1 first, each column from
-    # u = v-1 down to 0. Left-padded with zeros to n characters, column v
-    # becomes line n-1-v of T, the adjacency matrix with both vertex
-    # orders reversed and filled above its diagonal only: T[i*n + j] is
-    # the bit of (n-1-i, n-1-j) for j > i. As int() reads most significant
-    # first, line i then holds the lower neighbours of vertex n-1-i and
-    # the stride slice from i (its column) the higher ones.
-    t = "".join(
-        ["0" * (n - v) + back[nbits - v * (v + 1) // 2 : nbits - v * (v - 1) // 2] for v in range(n - 1, -1, -1)]
-    )
-    return Graph(n, tuple([int(t[i * n : (i + 1) * n], 2) | int(t[i::n], 2) for i in range(n - 1, -1, -1)]))
+    form = "<%dQ" % n
+    low = int.from_bytes(pack(form, *[back >> offset & mask for offset, mask in _COLUMNS[:n]]), "little")
+    return Graph(n, unpack(form, (low | _transpose(low, n)).to_bytes(8 * n, "little")))
+
+
+def _transpose(m: int, n: int) -> int:
+    """The transpose of an n x n bit matrix, n <= 64, bit 64r + c holding
+    (r, c). Rounds with blocks of side n or more would move no bit."""
+    for shift, mask in _ROUNDS[6 - max(n - 1, 0).bit_length() :]:
+        t = (m ^ m >> shift) & mask
+        m ^= t | t << shift
+    return m
 
 
 def encode_graph6_list(graphs) -> str:

@@ -20,14 +20,15 @@ so these generate Aut(g) without listing it.
 
 The search skips twins but is otherwise factorial in the size of the
 color cells. It runs on every graph FamilySpec is given, up to 64
-vertices, not only on enumerated graphs of at most 8: cycles, with one
-cell and no twins, take 2.2 to 2.8 s of CPU at 14 vertices on a 2-core
-Xeon VM under Python 3.11 (six runs), and `indfree pairs cycle:20 -n 5`
-was stopped there after 90 s. Pruning at tied leaves cannot fix this:
-on C14, about 89% of the search nodes lie under the first candidate for
-the first slot, before the least code settles, so the cost comes from
-the least-code objective itself. Both ways out change outputs and wait
-on a decision (ROADMAP item 3).
+vertices, not only on enumerated graphs of at most 8. Cycles have one
+cell and no twins: on a 2-core Xeon VM under Python 3.11, C14 took 1.9
+to 3.4 s of CPU as cycle_graph labels it (17 runs) and 0.4 to 2.0 s
+under three random relabellings (12 runs), and `indfree pairs
+cycle:20 -n 5` was stopped there after 90 s. Pruning at tied leaves
+cannot fix this: on C14, about 89% of the search nodes lie under the
+first candidate for the first slot, before the least code settles, so
+the cost comes from the least-code objective itself. Both ways out change outputs and wait
+on a decision (ROADMAP item 5).
 
 contains_induced runs on witness hosts of up to 64 vertices. It skips
 twin vertices and whole twin classes that a host automorphism

@@ -1,4 +1,4 @@
-"""Acceptance suite: nine checks, one printed pass/fail line each.
+"""Acceptance suite: ten checks, one printed pass/fail line each.
 
 Runs under pytest like any other module, or standalone:
 
@@ -264,6 +264,24 @@ def test_criterion_9_enumeration_self_check():
     )
 
 
+def test_criterion_10_tnf_theorem_off_the_tables():
+    # The paper's theorem both ways with no construction in the loop: a
+    # pattern on k vertices has an infeasible (n, m) at some n = k..8 iff
+    # it is one of the four TNF shapes.
+    t0 = time.time()
+    patterns = [g for order in range(2, 8) for g in enumerate_nonisomorphic(order)]
+    violations = 0
+    for g in patterns:
+        family = FamilySpec([g])
+        infeasible = any(feasible_pairs(family, n).f is not None for n in range(g.order, 9))
+        violations += infeasible != (recognize_tnf(g) is not None)
+    _report(
+        "criterion 10: infeasible somewhere at n <= 8 iff TNF, classes on 2..7 vertices",
+        len(patterns) == 1251 and violations == 0,
+        f"{len(patterns)} classes, {violations} violations, {time.time() - t0:.1f}s",
+    )
+
+
 def _main() -> int:
     checks = [
         test_criterion_1_dispatcher_sweep,
@@ -275,6 +293,7 @@ def _main() -> int:
         test_criterion_7_q_family_freeness,
         test_criterion_8_complement_duality_randomized,
         test_criterion_9_enumeration_self_check,
+        test_criterion_10_tnf_theorem_off_the_tables,
     ]
     failures = 0
     for check in checks:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from indfree import (
+    MAX_ORDER,
     CapacityError,
     Graph,
     ParseError,
+    complement,
     complete_graph,
     decode_graph6,
     decode_graph6_list,
@@ -17,6 +19,7 @@ from indfree import (
     encode_graph6_list,
     enumerate_nonisomorphic,
     make_graph,
+    path_graph,
 )
 from oracles import reference_decode_graph6, reference_encode_graph6
 
@@ -180,6 +183,40 @@ def test_codec_matches_reference(g):
     text = encode_graph6(g)
     assert text == reference_encode_graph6(g)
     assert decode_graph6(text) == g
+
+
+def _sweep_graphs():
+    """Per order 0..64: empty, complete, path, a seeded random graph and
+    its complement."""
+    rng = random.Random(64)
+    out = []
+    for n in range(MAX_ORDER + 1):
+        g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        out += [empty_graph(n), complete_graph(n), path_graph(n), g, complement(g)]
+    return out
+
+
+SWEEP = _sweep_graphs()
+
+
+def test_codec_matches_reference_at_every_order():
+    for g in SWEEP:
+        text = reference_encode_graph6(g)
+        assert encode_graph6(g) == text
+        h = decode_graph6(text)
+        assert h == g
+        assert all(type(r) is int for r in h.rows)
+        assert all(h.rows[u] >> u & 1 == 0 for u in range(h.order))
+        assert all(h.rows[u] >> v & 1 == h.rows[v] >> u & 1 for u in range(h.order) for v in range(u))
+
+
+def test_list_round_trip_mixes_every_order():
+    graphs = SWEEP[3::5]
+    random.Random(65).shuffle(graphs)
+    assert sorted({g.order for g in graphs}) == list(range(MAX_ORDER + 1))
+    text = encode_graph6_list(graphs)
+    assert text == "".join(reference_encode_graph6(g) + "\n" for g in graphs)
+    assert decode_graph6_list(text) == graphs
 
 
 def _outcome(decode, text):
