@@ -43,7 +43,7 @@ from typing import BinaryIO, Iterator
 from .errors import CapacityError, RangeError, ValidationError
 from .graph6 import encode_graph6
 from .graphs import Graph, complement, induced_subgraph
-from .iso import _aut_generators, _search, canonical_form
+from .iso import _aut_generators, _canon_rows, _search, canonical_form
 
 ENUMERATION_CAP = 8
 # fewest parents per run: forking a helper and reaping it costs about
@@ -189,18 +189,18 @@ def _units(parents) -> list[tuple[int, int, tuple[int, ...], list[tuple[int, ...
         if done[i]:
             continue
         co = complement(p)
-        leaves = _search(co)
+        leaves = _search(co.rows)
         j = pos[induced_subgraph(co, leaves[0])]
         done[j] = 1
-        units.append((i, j, leaves[0], _aut_generators(co, leaves)))
+        units.append((i, j, leaves[0], _aut_generators(co.rows, leaves)))
     return units
 
 
-def _children(n: int, parents, units) -> Iterator[list[Graph]]:
+def _children(n: int, parents, units) -> Iterator[list[tuple[int, ...]]]:
     """For each unit of _units, the lists of parents[i] and then, unless
-    j == i, of parents[j]: the canonical forms of the parent's children
-    whose new vertex's mask is least in its orbit under Aut(parent), in
-    mask order.
+    j == i, of parents[j]: the rows of the canonical forms of the parent's
+    children whose new vertex's mask is least in its orbit under
+    Aut(parent), in mask order.
 
     A mask is skipped unless it is the least of its orbit. Some
     automorphism maps the orbit's least mask, met earlier, onto the
@@ -227,8 +227,9 @@ def _children(n: int, parents, units) -> Iterator[list[Graph]]:
     under Aut(Q), and Q's list is the one the direct path gives.
     """
     full = (1 << (n - 1)) - 1
-    # flip[C]: canonical_form(complement(C))
-    flip: dict[Graph, Graph] = {}
+    every = full | 1 << (n - 1)
+    # flip[C]: the rows of canonical_form(complement(C)), C given by rows
+    flip: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i, j, lam, gens in units:
         prows = parents[i].rows
         # images[k][mask]: the image of mask under the k-th generator
@@ -249,7 +250,7 @@ def _children(n: int, parents, units) -> Iterator[list[Graph]]:
                         todo.append(s)
             rows = [prows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
             rows.append(mask)
-            forms.append(canonical_form(Graph(n, tuple(rows))))
+            forms.append(_canon_rows(rows))
         yield forms
         if j == i:
             continue
@@ -262,7 +263,7 @@ def _children(n: int, parents, units) -> Iterator[list[Graph]]:
                 c = forms[o]
                 d = flip.get(c)
                 if d is None:
-                    d = flip[c] = canonical_form(complement(c))
+                    d = flip[c] = _canon_rows([every ^ r ^ 1 << v for v, r in enumerate(c)])
                     flip[d] = c
                 flipped.append(d)
         yield flipped
@@ -290,8 +291,7 @@ def _pack(lists) -> bytes:
     blob = bytearray()
     for forms in lists:
         blob += len(forms).to_bytes(2, "little")
-        for c in forms:
-            blob += bytes(c.rows)
+        blob += b"".join(map(bytes, forms))
     return bytes(blob)
 
 
@@ -440,9 +440,9 @@ def feasible_pairs(family: FamilySpec, n: int) -> PairTable:
     for k in range(1, n + 1):
         classes, up = _reps(k)
         below, bad = bad, 0
-        for j, kids in enumerate(up):
-            if below >> j & 1:
-                bad |= kids
+        while below:
+            bad |= up[below.bit_length() - 1]
+            below ^= 1 << below.bit_length() - 1
         for pat in family.forbidden:
             if pat.order == k:
                 bad |= 1 << classes.index(pat)

@@ -121,14 +121,19 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """
     vs = list(vertices)
     n = g.order
-    # bit[v]: v's bit in the result, 0 for a vertex left out or not yet met
-    bit = [0] * n
+    seen = 0
+    for v in vs:
+        if not 0 <= v < n or seen >> v & 1:
+            raise ValidationError(f"vertex {v} " + ("repeated" if 0 <= v < n else f"outside [0, {n})"))
+        seen |= 1 << v
+    return Graph(len(vs), _relabel(g.rows, vs))
+
+
+def _relabel(rows, vs) -> tuple[int, ...]:
+    """induced_subgraph's rows; vs must be distinct vertices, unchecked."""
+    bit = [0] * len(rows)
     for i, v in enumerate(vs):
-        if not 0 <= v < n or bit[v]:
-            what = "repeated" if 0 <= v < n else f"outside [0, {n})"
-            raise ValidationError(f"vertex {v} {what}")
         bit[v] = 1 << i
-    rows = g.rows
     out = []
     for v in vs:
         r = rows[v]
@@ -138,7 +143,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
             r ^= lsb
             row |= bit[lsb.bit_length() - 1]
         out.append(row)
-    return Graph(len(vs), tuple(out))
+    return tuple(out)
 
 
 # Named building blocks used throughout the constructions and the CLI catalog.

@@ -4,31 +4,30 @@ Three entry points: canonical_form (an isomorphism-invariant relabeling,
 equal iff isomorphic), is_isomorphic, and contains_induced (the induced
 subgraph oracle returning an explicit embedding).
 
-One search over vertex orderings, _search, serves canonical_form and
-_aut_generators. It tries the orderings that respect a stable coloring,
-skipping twins, and keeps those with the lexicographically least
-adjacency code. The coloring is iterated neighbor-color refinement,
-which on its own does not decide isomorphism; the ordering search
-closes the gap, so the result is exact. A discrete coloring, one vertex
-per color, allows one ordering, which is then the answer without any
-search. canonical_form relabels its graph by the first ordering found,
-through graphs.induced_subgraph, the package's one relabel.
-_aut_generators(g, leaves) reads generators of Aut(g) off the orderings
-that tie in g's search, handed over so that no search runs twice, and
-the twin swaps the search skips; the skips hide some tied orderings,
-so these generate Aut(g) without listing it.
+Every canonical form comes from one kernel on rows, _canon_rows, which
+the enumeration calls with no Graph per child: it relabels by _search's
+first ordering through graphs._relabel, the unchecked induced_subgraph.
+_search also serves _aut_generators. It tries the orderings that fill
+the cells of _cells, a stable coloring, in color order, skipping twins,
+and keeps those with the lexicographically least adjacency code. The
+coloring alone does not decide isomorphism; the search closes the gap,
+so the result is exact. The refinement counts only into the cells split
+off the round before (McKay & Piperno, arXiv:1301.1493), and still gets
+the cells, in order, of counting into all. If every cell is one vertex
+or a set of twins, the search takes one path, with no code compared.
+_aut_generators(rows, leaves) reads generators of Aut(g) off the
+orderings that tie in g's search, handed over so that no search runs
+twice, and the twin swaps the search skips; the skips hide some tied
+orderings, so these generate Aut(g) without listing it.
 
 The search skips twins but is otherwise factorial in the size of the
-color cells. It runs on every graph FamilySpec is given, up to 64
-vertices, not only on enumerated graphs of at most 8. Cycles have one
-cell and no twins: on a 2-core Xeon VM under Python 3.11, C14 took 1.9
-to 3.4 s of CPU as cycle_graph labels it (17 runs) and 0.4 to 2.0 s
-under three random relabellings (12 runs), and `indfree pairs
-cycle:20 -n 5` was stopped there after 90 s. Pruning at tied leaves
-cannot fix this: on C14, about 89% of the search nodes lie under the
-first candidate for the first slot, before the least code settles, so
-the cost comes from the least-code objective itself. Both ways out change outputs and wait
-on a decision (ROADMAP item 5).
+cells. It runs on every graph FamilySpec is given, up to 64 vertices,
+not only on enumerated graphs of at most 8. Cycles have one cell and no
+twins; the README times C14 under fixed relabellings. Pruning at tied
+leaves cannot fix this: on C14, about 89% of the search nodes lie under
+the first candidate for the first slot, before the least code settles,
+so the cost comes from the least-code objective itself. Both ways out
+change outputs and wait on a decision (ROADMAP item 5).
 
 contains_induced runs on witness hosts of up to 64 vertices. It skips
 twin vertices and whole twin classes that a host automorphism
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _relabel
 
 
 @dataclass(frozen=True)
@@ -59,71 +58,61 @@ class Embedding:
 
 
 def wl_colors(g: Graph) -> tuple[int, ...]:
-    """Stable vertex coloring, invariant under relabeling.
+    """Stable vertex coloring, invariant under relabeling: v's color is
+    the index of v's cell in _cells."""
+    cells = _cells(g.rows)
+    return tuple([i for v in range(g.order) for i, c in enumerate(cells) if c >> v & 1])
 
-    Starts from degrees and repeatedly splits classes by the multiset of
-    neighbor colors until no class splits. Colors are ranks 0..c-1 in a
-    label-independent order, so isomorphic graphs get matching colorings.
 
-    Each round ranks cell by cell, in color order. A cell of one vertex
-    cannot split, so it gets the next rank and no key. In a larger cell,
-    v's key is one int of 7-bit fields 64 - |N(v) & cell|, one per cell
-    in color order; counts are at most 64, so the fields never carry and
-    the ints compare as the tuples of negated counts do. The cell's
-    vertices take the next ranks in key order, equal keys one rank.
-    These are the ranks of the key (colors[v], negated counts) over all
-    vertices: every vertex of a cell has the same first component, so
-    sorting those keys visits the cells in color order and, inside one,
-    sorts by the counts, and a lone vertex's key is unique whatever its
-    counts. That key in turn ranks vertices exactly as the sorted tuple
-    of neighbor colors would.
-    Colors only ever refine the degree partition, so two keys with the
-    same first component belong to vertices of equal degree, and their
-    sorted neighbor-color tuples have equal length. Two such tuples first
-    differ at the least color c whose count differs, and the one with
-    more c's is the smaller, as its negated count is.
+def _cells(rows) -> list[int]:
+    """The cells of the stable coloring, as vertex masks in color order.
+
+    Starts from the degree cells and splits cells round by round until a
+    round splits nothing. A round's splitters are the pieces the round
+    before split off, of each split cell all but the last; the degree
+    cells are pieces of the cell of all vertices. In a larger cell, v's
+    key is one int of 7-bit fields 64 - |N(v) & s|, one per splitter s
+    in color order (counts are at most 64, so the ints compare as tuples
+    of negated counts), and the pieces replace the cell in key order.
+
+    Counting into every cell gives the same pieces in the same order. By
+    induction, a cell's vertices agree on their counts into every cell
+    of the round before: a degree cell's on their degree, a later cell's
+    on what its parent's agreed on and on its key, which fixes the last
+    pieces by difference. So a dropped field counts into a cell that did
+    not split, constant in the cell, or into the last piece of a split
+    cell Z, the constant count into Z less the fields just before it;
+    neither decides a comparison. The full key ranks a cell's vertices
+    as their sorted tuples of neighbor colors do: the tuples have equal
+    length, as the cells refine the degrees, and more of the least color
+    whose count differs makes the smaller.
     """
-    rows = g.rows
-    n = g.order
-    colors = list(g.degrees())
-    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [rank[c] for c in colors]
-    ncolors = len(rank)
-    # a coloring with one vertex per color cannot split further
-    while ncolors < n:
-        cells = [0] * ncolors
-        for v, c in enumerate(colors):
-            cells[c] |= 1 << v
-        new = [0] * n
-        nxt = 0
+    by: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        d = r.bit_count()
+        by[d] = by.get(d, 0) | 1 << v
+    cells = [by[d] for d in sorted(by)]
+    split = cells[:-1]
+    while split and len(cells) < len(rows):
+        new, fresh = [], []
         for cell in cells:
             if not cell & (cell - 1):
-                new[cell.bit_length() - 1] = nxt
-                nxt += 1
+                new.append(cell)
                 continue
-            keys = []
+            parts: dict[int, int] = {}
             while cell:
                 lsb = cell & -cell
                 cell ^= lsb
-                v = lsb.bit_length() - 1
-                r = rows[v]
+                r = rows[lsb.bit_length() - 1]
                 k = 0
-                for c in cells:
-                    k = k << 7 | 64 - (r & c).bit_count()
-                keys.append((k, v))
-            keys.sort()
-            prev = keys[0][0]
-            for k, v in keys:
-                if k != prev:
-                    nxt += 1
-                    prev = k
-                new[v] = nxt
-            nxt += 1
-        colors = new
-        if nxt == ncolors:
-            break
-        ncolors = nxt
-    return tuple(colors)
+                for s in split:
+                    k = k << 7 | 64 - (r & s).bit_count()
+                parts[k] = parts.get(k, 0) | lsb
+            pieces = [parts[k] for k in sorted(parts)] if len(parts) > 1 else [parts[k]]
+            new += pieces
+            fresh += pieces[:-1]
+        cells, split = new, fresh
+    return cells
 
 
 def _twin_masks(rows: tuple[int, ...]) -> list[int]:
@@ -187,12 +176,17 @@ def canonical_form(g: Graph) -> Graph:
     change the best completion, so twins are skipped; that keeps
     cliques, stars and near-complete graphs linear instead of factorial.
     """
-    return induced_subgraph(g, _search(g)[0])
+    return Graph(g.order, _canon_rows(g.rows))
 
 
-def _aut_generators(g: Graph, leaves: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Generators of Aut(g), each as perm with perm[v] the image of v,
-    from leaves, the orderings _search(g) returns.
+def _canon_rows(rows) -> tuple[int, ...]:
+    """The rows of the canonical form of the graph with these rows."""
+    return _relabel(rows, _search(rows)[0])
+
+
+def _aut_generators(rows, leaves: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), g the graph with these rows, each as perm
+    with perm[v] the image of v, from leaves, _search(rows)'s orderings.
 
     Two kinds: the map from the first ordering that reaches the least
     code in canonical_form's search to each later one, and for each twin
@@ -206,12 +200,12 @@ def _aut_generators(g: Graph, leaves: list[tuple[int, ...]]) -> list[tuple[int, 
     By induction every tied ordering, and so every automorphism, is
     reached from the first leaf by the two kinds together.
     """
-    n = g.order
+    n = len(rows)
     slot = [0] * n
     for i, v in enumerate(leaves[0]):
         slot[v] = i
     gens = [tuple([leaf[i] for i in slot]) for leaf in leaves[1:]]
-    for cls in set(_twin_masks(g.rows)):
+    for cls in set(_twin_masks(rows)):
         members = [v for v in range(n) if cls >> v & 1]
         for u, v in zip(members, members[1:]):
             perm = list(range(n))
@@ -220,21 +214,22 @@ def _aut_generators(g: Graph, leaves: list[tuple[int, ...]]) -> list[tuple[int, 
     return gens
 
 
-def _search(g: Graph) -> list[tuple[int, ...]]:
+def _search(rows) -> list[tuple[int, ...]]:
     """The orderings with the least code, in the order found, over those
-    that fill the cells of g's wl_colors in color order, skipping twins.
-    A discrete coloring allows one ordering, so it is the answer and no
-    code is compared."""
-    colors = wl_colors(g)
-    n = g.order
-    cells = [0] * (max(colors, default=-1) + 1)
-    for v, c in enumerate(colors):
-        cells[c] |= 1 << v
+    that fill the cells of _cells(rows) in color order, skipping twins.
+    If every cell is one vertex or a set of twins, a slot's first
+    candidate skips the rest of its cell: one path, each cell in label
+    order, gives the answer with no code compared."""
+    cells = _cells(rows)
+    n = len(rows)
     if len(cells) == n:
         return [tuple([c.bit_length() - 1 for c in cells])]
-    slots = [cells[c] for c in sorted(colors)]
+    twins = _twin_masks(rows)
+    if all(twins[(c & -c).bit_length() - 1] & c == c for c in cells):
+        return [tuple([v for c in cells for v in range(n) if c >> v & 1])]
+    slots = [c for c in cells for _ in range(c.bit_count())]
     leaves: list[tuple[int, ...]] = []
-    _least_code(0, 0, slots, g.rows, _twin_masks(g.rows), [_INF] * n, [], leaves)
+    _least_code(0, 0, slots, rows, twins, [_INF] * n, [], leaves)
     return leaves
 
 
@@ -242,7 +237,7 @@ def _least_code(
     i: int,
     used: int,
     slots: list[int],
-    rows: tuple[int, ...],
+    rows,
     twins: list[int],
     best: list[int],
     placed: list[int],

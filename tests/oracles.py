@@ -247,13 +247,14 @@ def reference_feasible_pairs(family: FamilySpec, n: int) -> PairTable:
 
 
 def reference_children(n: int, parents):
-    """The library's earlier enumeration step: for each parent, the
-    canonical forms of its children whose new vertex's mask is least in
-    its orbit under Aut(parent), in mask order, each canonicalized."""
+    """The library's earlier enumeration step: for each parent, the rows
+    of the canonical forms of its children whose new vertex's mask is
+    least in its orbit under Aut(parent), in mask order, each
+    canonicalized."""
     for parent in parents:
         prows = parent.rows
         images = []
-        for perm in _aut_generators(parent, _search(parent)):
+        for perm in _aut_generators(parent.rows, _search(parent.rows)):
             img = [0]
             for v in range(n - 1):
                 bit = 1 << perm[v]
@@ -275,7 +276,7 @@ def reference_children(n: int, parents):
                         todo.append(s)
             rows = [prows[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
             rows.append(mask)
-            forms.append(canonical_form(Graph(n, tuple(rows))))
+            forms.append(canonical_form(Graph(n, tuple(rows))).rows)
         yield forms
 
 

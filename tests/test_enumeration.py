@@ -11,7 +11,6 @@ import pytest
 from indfree import (
     CapacityError,
     FamilySpec,
-    Graph,
     PairTable,
     RangeError,
     ValidationError,
@@ -78,14 +77,15 @@ def test_class_sequence_is_pinned():
 # see it
 CHILDREN_PER_ORBIT = {1: 1, 2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096, 8: 79264}
 
-# canonical_form calls _reps makes in one process: the second parent of
-# each unit reads its children's forms off the first's, canonicalizing
-# each complement once (no parent on 7 vertices is its own complement,
-# so n = 8 makes 79264 / 2 direct calls and 6178 complements)
+# canonical forms _reps computes in one process, each one call of the
+# kernel _canon_rows: the second parent of each unit reads its children's
+# forms off the first's, canonicalizing each complement once (no parent
+# on 7 vertices is its own complement, so n = 8 makes 79264 / 2 direct
+# calls and 6178 complements)
 CANONICAL_FORM_CALLS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 67, 6: 364, 7: 3070, 8: 45810}
 
-# _search calls _reps makes in one process: one per canonical_form and
-# one per unit, which both pairs the unit's parents and generates the
+# _search calls _reps makes in one process: one per kernel call and one
+# per unit, which both pairs the unit's parents and generates the
 # first's automorphism group; a second search for the group would add
 # one more per unit, 522 at n = 8
 SEARCH_CALLS = {1: 2, 2: 3, 3: 6, 4: 18, 5: 73, 6: 382, 7: 3148, 8: 46332}
@@ -96,15 +96,15 @@ def test_reps_canonicalizes_one_child_per_orbit(monkeypatch):
     # in one process, since a forked helper's calls never reach these
     monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
     calls, searches = [], []
-    canon = enumeration.canonical_form
-    monkeypatch.setattr(enumeration, "canonical_form", lambda g: calls.append(1) or canon(g))
+    canon = enumeration._canon_rows
+    monkeypatch.setattr(enumeration, "_canon_rows", lambda rows: calls.append(1) or canon(rows))
     search = iso._search
 
-    def counted_search(g):
+    def counted_search(rows):
         searches.append(1)
-        return search(g)
+        return search(rows)
 
-    # canonical_form reads iso's name, _units enumeration's
+    # _canon_rows reads iso's name, _units enumeration's
     monkeypatch.setattr(iso, "_search", counted_search)
     monkeypatch.setattr(enumeration, "_search", counted_search)
     kids = []
@@ -157,7 +157,7 @@ def test_children_match_reference(n):
                 got[i] = forms
         assert got == want, w
     # (b) every parent a unit of its own, so every parent takes the direct path
-    own = [(i, i, None, _aut_generators(p, _search(p))) for i, p in enumerate(parents)]
+    own = [(i, i, None, _aut_generators(p.rows, _search(p.rows))) for i, p in enumerate(parents)]
     assert list(enumeration._children(n, parents, own)) == want
 
 
@@ -339,7 +339,7 @@ def test_spans_take_exactly_their_parents():
     k = len(want)
     blob = enumeration._pack(want)
     spans = enumeration._spans(6, blob, k)
-    assert [[Graph(6, tuple(blob[j:j + 6])) for j in range(a, b, 6)] for a, b in spans] == want
+    assert [[tuple(blob[j:j + 6]) for j in range(a, b, 6)] for a, b in spans] == want
     for bad in (blob[:-1], blob[:-6], blob + b"\0", blob[:1], b""):
         assert enumeration._spans(6, bad, k) is None
     assert enumeration._spans(6, blob, k - 1) is None

@@ -55,7 +55,7 @@ def test_automorphisms_match_brute_force():
             perm = list(range(n))
             RNG.shuffle(perm)
             for h in (g, apply_perm(g, tuple(perm))):
-                group = generated_group(_aut_generators(h, _search(h)), n)
+                group = generated_group(_aut_generators(h.rows, _search(h.rows)), n)
                 assert group == brute_automorphisms(h), h
 
 
@@ -64,7 +64,7 @@ def test_automorphisms_match_reference_on_every_class_on_7_vertices():
         perm = list(range(7))
         RNG.shuffle(perm)
         for h in (g, apply_perm(g, tuple(perm))):
-            group = generated_group(_aut_generators(h, _search(h)), 7)
+            group = generated_group(_aut_generators(h.rows, _search(h.rows)), 7)
             assert group == set(reference_automorphisms(h)), h
 
 

@@ -29,7 +29,15 @@ from indfree import (
     witness,
     wl_colors,
 )
-from indfree.iso import _aut_generators, _partner_blocks, _search, _twin_masks
+from indfree.iso import (
+    _INF,
+    _aut_generators,
+    _cells,
+    _least_code,
+    _partner_blocks,
+    _search,
+    _twin_masks,
+)
 from oracles import (
     apply_perm,
     brute_contains_induced,
@@ -141,6 +149,44 @@ def test_wl_colors_matches_reference(g):
     assert wl_colors(g) == reference_wl_colors(g)
 
 
+@st.composite
+def large_graphs(draw):
+    """Graphs on 14-64 vertices, each pair an edge with one of a few
+    probabilities between 1/32 and 31/32."""
+    n = draw(st.integers(14, 64))
+    p = draw(st.sampled_from([1, 2, 4, 8, 16, 24, 31]))
+    rng = draw(st.randoms(use_true_random=False))
+    return make_graph(n, [e for e in combinations(range(n), 2) if rng.randrange(32) < p])
+
+
+@st.composite
+def relabelled_circulants(draw):
+    """A circulant on 3-64 vertices, v joined to v +- j for each of 1-3
+    jumps j (a cycle for the one jump 1), relabelled at random, with one
+    vertex pair flipped or none. Unflipped, it is vertex-transitive, so
+    its coloring is one cell; a flip makes the refinement split by
+    distance from the flipped pair, over many rounds."""
+    n = draw(st.integers(3, 64))
+    jumps = draw(st.one_of(st.just({1}), st.sets(st.integers(1, n // 2), min_size=1, max_size=3)))
+    g = make_graph(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+    g = apply_perm(g, draw(st.permutations(range(n))))
+    if not draw(st.booleans()):
+        return g
+    u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(n, tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(large_graphs(), relabelled_circulants()))
+def test_wl_colors_matches_reference_up_to_64_vertices(g):
+    # the splitter rule of iso._cells claims the reference's ranks at
+    # every order the package takes
+    assert wl_colors(g) == reference_wl_colors(g)
+
+
 @given(st.one_of(graphs(), twin_blowups(), block_blowups(), perturbed_h_graphs()))
 def test_recognize_h_matches_reference(g):
     assert recognize_h(g) == reference_recognize_h(g)
@@ -221,7 +267,7 @@ def test_automorphisms_match_reference(g):
     # automorphisms keep wl_colors, so the product of the factorials of
     # the cell sizes bounds |Aut(g)|; bigger groups take seconds to list
     assume(prod(map(factorial, Counter(wl_colors(g)).values())) <= 5040)
-    group = generated_group(_aut_generators(g, _search(g)), g.order)
+    group = generated_group(_aut_generators(g.rows, _search(g.rows)), g.order)
     assert group == set(reference_automorphisms(g))
 
 
@@ -232,6 +278,26 @@ def test_canonical_form_matches_reference(g):
     # as the product of the factorials of the cell sizes
     assume(prod(map(factorial, Counter(wl_colors(g)).values())) <= 5040)
     assert canonical_form(g) == reference_canonical_form(g)
+
+
+@given(st.one_of(graphs(max_order=16), twin_blowups(), block_blowups()))
+@settings(max_examples=300, deadline=None)
+def test_search_answers_as_the_full_walk_does(g):
+    # _search skips the walk where every cell is one vertex or a set of
+    # twins; the walk itself must then take the one path _search returns.
+    # The walk tries one vertex of each twin class at a slot, so it has
+    # at most as many leaves as each cell has orders of its twin classes'
+    # labels, the multinomial of their sizes
+    cells, twins = _cells(g.rows), _twin_masks(g.rows)
+    paths = 1
+    for c in cells:
+        sizes = Counter(twins[v] & c for v in range(g.order) if c >> v & 1).values()
+        paths *= factorial(sum(sizes)) // prod(map(factorial, sizes))
+    assume(paths <= 5040)
+    slots = [c for c in cells for _ in range(c.bit_count())]
+    leaves = []
+    _least_code(0, 0, slots, g.rows, twins, [_INF] * g.order, [], leaves)
+    assert _search(g.rows) == leaves
 
 
 @given(st.lists(graphs(min_order=1, max_order=6), min_size=1, max_size=4), st.integers(0, 7))
