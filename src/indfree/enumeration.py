@@ -371,13 +371,14 @@ def _edge_masks(n: int) -> tuple[int, ...]:
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
-    """Yield one representative per isomorphism class on n vertices.
+    """An iterator over one representative per isomorphism class on n vertices.
 
     Exhaustive only up to n = 8 (12346 classes); beyond that the space
     outgrows desk scale and this package offers no sampling fallback.
+    The order is checked, and the classes built, when it is called.
     """
     _check_n(n)
-    yield from _reps(n)[0]
+    return iter(_reps(n)[0])
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,13 @@ and keeps those with the lexicographically least adjacency code. The
 coloring alone does not decide isomorphism; the search closes the gap,
 so the result is exact. The refinement counts only into the cells split
 off the round before (McKay & Piperno, arXiv:1301.1493), and still gets
-the cells, in order, of counting into all. If every cell is one vertex
-or a set of twins, the search takes one path, with no code compared.
+the cells, in order, of counting into all; its degree cells come from
+a list indexed by degree. If every cell is one vertex or a set of
+twins, the search takes one path, with no code compared. It decides
+that cell by cell from the rows, comparing each member's row with the
+cell's first vertex's outside the cell, and builds the twin table
+(_twin_masks) only for the walk. The walk computes every candidate's
+code at a node before it recurses, and recurses only into the least.
 _aut_generators(rows, leaves) reads generators of Aut(g) off the
 orderings that tie in g's search, handed over so that no search runs
 twice, and the twin swaps the search skips; the skips hide some tied
@@ -23,11 +28,14 @@ orderings, so these generate Aut(g) without listing it.
 The search skips twins but is otherwise factorial in the size of the
 cells. It runs on every graph FamilySpec is given, up to 64 vertices,
 not only on enumerated graphs of at most 8. Cycles have one cell and no
-twins; the README times C14 under fixed relabellings. Pruning at tied
-leaves cannot fix this: on C14, about 89% of the search nodes lie under
-the first candidate for the first slot, before the least code settles,
-so the cost comes from the least-code objective itself. Both ways out
-change outputs and wait on a decision (ROADMAP item 5).
+twins; the README times C14 under fixed relabellings. Recursing only
+into the least codes cuts the subtrees of candidates that lose at their
+own slot, which on unions of cliques such as 4K4 are nearly all of
+them. On a cycle every vertex ties at the first slot: on C14 as
+cycle_graph labels it, the walk takes 81,723 nodes in 14 subtrees that
+are images of each other under the rotations. Skipping those images
+would need the automorphisms found at tied leaves (McKay & Piperno);
+the ways out that change outputs wait on a decision (ROADMAP item 5).
 
 contains_induced runs on witness hosts of up to 64 vertices. It skips
 twin vertices and whole twin classes that a host automorphism
@@ -87,11 +95,10 @@ def _cells(rows) -> list[int]:
     length, as the cells refine the degrees, and more of the least color
     whose count differs makes the smaller.
     """
-    by: dict[int, int] = {}
+    by = [0] * len(rows)
     for v, r in enumerate(rows):
-        d = r.bit_count()
-        by[d] = by.get(d, 0) | 1 << v
-    cells = [by[d] for d in sorted(by)]
+        by[r.bit_count()] |= 1 << v
+    cells = [c for c in by if c]
     split = cells[:-1]
     while split and len(cells) < len(rows):
         new, fresh = [], []
@@ -217,19 +224,46 @@ def _aut_generators(rows, leaves: list[tuple[int, ...]]) -> list[tuple[int, ...]
 def _search(rows) -> list[tuple[int, ...]]:
     """The orderings with the least code, in the order found, over those
     that fill the cells of _cells(rows) in color order, skipping twins.
+
     If every cell is one vertex or a set of twins, a slot's first
     candidate skips the rest of its cell: one path, each cell in label
-    order, gives the answer with no code compared."""
+    order, gives the answer with no code compared. The test runs per
+    cell, against its first vertex f. The other members are all open
+    twins of f, none adjacent to f, or all closed twins, all adjacent:
+    an open twin u and a closed twin w of f would have w in N(u) = N(f)
+    and u outside N[w] = N[f]. So f's row must meet the cell in nothing
+    or in all the rest. Given that, the members are twins of f exactly
+    when their rows agree with f's outside the cell: the cell refines
+    the degrees, so equal rows outside it leave equal counts inside.
+    Only when a cell fails does the walk run, with _twin_masks.
+    """
     cells = _cells(rows)
     n = len(rows)
     if len(cells) == n:
         return [tuple([c.bit_length() - 1 for c in cells])]
-    twins = _twin_masks(rows)
-    if all(twins[(c & -c).bit_length() - 1] & c == c for c in cells):
-        return [tuple([v for c in cells for v in range(n) if c >> v & 1])]
+    order: list[int] = []
+    for c in cells:
+        first = c & -c
+        row = rows[first.bit_length() - 1]
+        inner = row & c
+        if inner and inner != c ^ first:
+            break
+        key = row | c
+        rest = c
+        while rest:
+            lsb = rest & -rest
+            v = lsb.bit_length() - 1
+            if rows[v] | c != key:
+                break
+            order.append(v)
+            rest ^= lsb
+        if rest:
+            break
+    else:
+        return [tuple(order)]
     slots = [c for c in cells for _ in range(c.bit_count())]
     leaves: list[tuple[int, ...]] = []
-    _least_code(0, 0, slots, rows, twins, [_INF] * n, [], leaves)
+    _least_code(0, 0, slots, rows, _twin_masks(rows), [_INF] * n, [], leaves)
     return leaves
 
 
@@ -246,32 +280,40 @@ def _least_code(
     """Lower best[i:] to the least codes reachable from the placed prefix.
 
     An ordering's code at a slot is its vertex's adjacency bits toward
-    the earlier ones; a branch is cut where its code exceeds best. A
-    leaf reached ties best everywhere and goes to leaves, which a drop
-    of best clears. twins[v] is skipped once v has been tried.
+    the earlier ones. A node computes the code of each candidate first,
+    skipping twins[v] once v is taken, and recurses, in label order,
+    only into those with its least code, and only if that is at most
+    best[i]: every prefix extends to a full ordering, so a larger code
+    at the same prefix is never least. A leaf reached ties best
+    everywhere and goes to leaves, which a drop of best clears.
     """
     n = len(best)
     if i == n:
         leaves.append(tuple(placed))
         return
     cand = slots[i] & ~used
+    least = best[i]
+    ties: list[int] = []
     while cand:
-        lsb = cand & -cand
-        v = lsb.bit_length() - 1
+        v = (cand & -cand).bit_length() - 1
         cand &= ~twins[v]
         ro = rows[v]
         code = 0
         for u in placed:
             code = code << 1 | (ro >> u & 1)
-        if code > best[i]:
-            continue
-        if code < best[i]:
-            best[i] = code
-            for j in range(i + 1, n):
-                best[j] = _INF
-            leaves.clear()
+        if code < least:
+            least = code
+            ties = [v]
+        elif code == least:
+            ties.append(v)
+    if least < best[i]:
+        best[i] = least
+        for j in range(i + 1, n):
+            best[j] = _INF
+        leaves.clear()
+    for v in ties:
         placed.append(v)
-        _least_code(i + 1, used | lsb, slots, rows, twins, best, placed, leaves)
+        _least_code(i + 1, used | 1 << v, slots, rows, twins, best, placed, leaves)
         placed.pop()
 
 

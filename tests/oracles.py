@@ -26,7 +26,10 @@ masks that link each class to its deck. The children reference is the
 library's earlier enumeration step: it canonicalizes every child of
 every parent directly, with the library's canonical form and
 automorphism generators, where the library reads half the children's
-forms off the complement class's.
+forms off the complement class's. The one-path reference is the
+library's earlier test for skipping the ordering search: it builds the
+whole twin table and asks whether every cell lies among its first
+vertex's twins, where the library compares rows cell by cell.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from indfree import (
     make_graph,
 )
 from indfree.errors import byte_offset
-from indfree.iso import _aut_generators, _search
+from indfree.iso import _aut_generators, _cells, _search, _twin_masks
 
 _SHORT_MAX = 62
 
@@ -127,6 +130,13 @@ def _least_code_from(
         placed.append(v)
         _least_code_from(i + 1, used | lsb, slots, rows, best, placed)
         placed.pop()
+
+
+def reference_one_path(rows) -> bool:
+    """Reference for _search's one-path test: every cell of _cells(rows)
+    is one vertex or a set of twins, read off _twin_masks."""
+    twins = _twin_masks(rows)
+    return all(twins[(c & -c).bit_length() - 1] & c == c for c in _cells(rows))
 
 
 def apply_perm(g: Graph, perm) -> Graph:

@@ -393,6 +393,14 @@ def test_enumeration_cap():
         list(enumerate_nonisomorphic(-1))
 
 
+def test_enumeration_cap_raises_at_the_call():
+    # the order is checked before any iterator is handed out
+    with pytest.raises(CapacityError):
+        enumerate_nonisomorphic(9)
+    with pytest.raises(RangeError):
+        enumerate_nonisomorphic(-1)
+
+
 # FamilySpec
 
 

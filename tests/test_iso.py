@@ -16,11 +16,13 @@ from indfree import (
     enumerate_nonisomorphic,
     h_graph,
     HParams,
+    induced_subgraph,
     is_isomorphic,
     make_graph,
     path_graph,
     star_graph,
 )
+from indfree import iso
 from indfree.iso import _aut_generators, _search
 from oracles import (
     apply_perm,
@@ -77,6 +79,28 @@ def test_canonical_form_matches_reference_on_every_class_up_to_7_vertices():
                 rng.shuffle(perm)
                 h = apply_perm(g, tuple(perm))
                 assert canonical_form(h) == reference_canonical_form(h) == g, h
+
+
+@pytest.mark.parametrize("copies, k", [(4, 4), (5, 3)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_least_code_nodes_on_relabelled_clique_unions(monkeypatch, copies, k, seed):
+    # 4K4 and 5K3: one cell whose twin classes, the cliques, swap whole.
+    # A node that recursed into every candidate whose code was at most
+    # best explored a non-least candidate's whole subtree before best
+    # dropped: 8,703-59,607 nodes on 4K4 and 2,999-15,841 on 5K3 under
+    # these labellings, where recursing into the least codes only takes
+    # 353 and 1,526
+    g = complete_graph(k)
+    for _ in range(copies - 1):
+        g = disjoint_union(g, complete_graph(k))
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    nodes = []
+    walk = iso._least_code
+    monkeypatch.setattr(iso, "_least_code", lambda *a: nodes.append(1) or walk(*a))
+    form = canonical_form(induced_subgraph(g, perm))
+    assert len(nodes) <= 2000
+    assert form == canonical_form(g)
 
 
 def test_canonical_idempotent():

@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import combinations
 from math import factorial, prod
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
@@ -29,6 +30,7 @@ from indfree import (
     witness,
     wl_colors,
 )
+from indfree import iso
 from indfree.iso import (
     _INF,
     _aut_generators,
@@ -46,6 +48,7 @@ from oracles import (
     reference_canonical_form,
     reference_feasible_pairs,
     reference_induced_subgraph,
+    reference_one_path,
     reference_recognize_h,
     reference_wl_colors,
 )
@@ -298,6 +301,20 @@ def test_search_answers_as_the_full_walk_does(g):
     leaves = []
     _least_code(0, 0, slots, g.rows, twins, [_INF] * g.order, [], leaves)
     assert _search(g.rows) == leaves
+
+
+@given(st.one_of(graphs(), twin_blowups(), block_blowups()))
+@settings(max_examples=300, deadline=None)
+def test_search_takes_one_path_exactly_where_the_twin_table_says(g):
+    # with the walk stubbed out, _search answers only from its per-cell
+    # row test: the one ordering, each cell in label order, exactly when
+    # the coloring is discrete or every cell is a set of twins by the
+    # twin table, and nothing otherwise
+    cells = _cells(g.rows)
+    one_path = len(cells) == g.order or reference_one_path(g.rows)
+    with patch.object(iso, "_least_code", lambda *args: None):
+        leaves = _search(g.rows)
+    assert leaves == ([tuple(v for c in cells for v in members(c))] if one_path else [])
 
 
 @given(st.lists(graphs(min_order=1, max_order=6), min_size=1, max_size=4), st.integers(0, 7))
