@@ -37,8 +37,10 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from typing import BinaryIO, Iterator
+from functools import lru_cache, partial, reduce
+from itertools import compress
+from operator import or_
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import CapacityError, RangeError, ValidationError
 from .graph6 import encode_graph6
@@ -50,6 +52,10 @@ ENUMERATION_CAP = 8
 # 4-6 ms, while the 11 parents on 4 vertices take 6.5 ms in all, and the
 # 34 on 5 take 39 ms in process against 31 ms in two slices
 _MIN_RUN = 16
+# bin()'s digits as the bytes 0 and 1, which compress reads as flags
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+# _POPCOUNT[b]: the number of set bits in the byte b
+_POPCOUNT = bytes([bin(b).count("1") for b in range(256)])
 
 
 def _check_n(n: int) -> None:
@@ -148,21 +154,43 @@ def _reps(n: int) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
     if n <= 6:
         order = sorted(range(len(out)), key=lambda i: _scan_code(out[i]))
         out = [out[i] for i in order]
-        up = [sum(1 << i for i, k in enumerate(order) if kids >> k & 1) for kids in up]
+        # rank[k]: the sorted position of the class discovered k-th
+        rank = sorted(range(len(order)), key=order.__getitem__)
+        up = [_bitmap(compress(rank, _flags(kids)), len(out)) for kids in up]
     return tuple(out), tuple(up)
 
 
 def _merge(n: int, spans) -> tuple[list[bytes], list[int]]:
     """The distinct forms the spans hold, n bytes each, in order of first
-    appearance, and for each span the mask of its forms among them."""
+    appearance, and for each span the mask of its forms among them.
+
+    Each span's positions are turned into its mask before the next span
+    is read, so only one span's list of positions is alive at a time.
+    """
     index: dict[bytes, int] = {}
     up = []
     for blob, a, b in spans:
-        kids = 0
-        for j in range(a, b, n):
-            kids |= 1 << index.setdefault(blob[j:j + n], len(index))
-        up.append(kids)
+        kids = [index.setdefault(blob[j:j + n], len(index)) for j in range(a, b, n)]
+        up.append(_bitmap(kids, len(index)))
     return list(index), up
+
+
+def _bitmap(positions: Iterable[int], size: int) -> int:
+    """The mask with bit i set for each i in positions, all below size.
+
+    The bits are set in a bytearray and converted to an int once, so no
+    step handles a Python int wider than a byte.
+    """
+    bits = bytearray((size + 7) >> 3)
+    for i in positions:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte i is 1 if bit i of mask is set and 0 if not, up to the
+    highest set bit (one 0 byte for mask 0)."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
 
 
 def _units(parents) -> list[tuple[int, int, tuple[int, ...], list[tuple[int, ...]]]]:
@@ -363,11 +391,24 @@ def _scan_code(g: Graph) -> int:
 
 @lru_cache(maxsize=None)
 def _edge_masks(n: int) -> tuple[int, ...]:
-    """For each edge count m, the mask of the classes in _reps(n) with m edges."""
-    masks = [0] * (n * (n - 1) // 2 + 1)
-    for i, g in enumerate(_reps(n)[0]):
-        masks[g.edge_count] |= 1 << i
-    return tuple(masks)
+    """For each edge count m, the mask of the classes in _reps(n) with m edges.
+
+    A class's edge count is half the popcount of its row bytes (n <= 8,
+    so each row is one byte), and each mask is a _bitmap of the
+    positions of its classes.
+    """
+    classes = _reps(n)[0]
+    # buckets[m]: the positions of the classes with m edges
+    buckets: list[list[int]] = [[] for _ in range(n * (n - 1) // 2 + 1)]
+    for i, g in enumerate(classes):
+        buckets[sum(bytes(g.rows).translate(_POPCOUNT)) >> 1].append(i)
+    return tuple(_bitmap(b, len(classes)) for b in buckets)
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> dict[tuple[int, ...], int]:
+    """The position of each class in _reps(n), keyed by its rows."""
+    return {g.rows: i for i, g in enumerate(_reps(n)[0])}
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
@@ -434,20 +475,28 @@ def feasible_pairs(family: FamilySpec, n: int) -> PairTable:
     forbidden graph are those extending such a class one level down
     (the up masks of _reps) plus the forbidden graphs of that order, and
     an edge count is feasible iff one of its classes is left over.
+
+    Each level is one union: compress picks the up masks of the bad
+    classes one level down, off the bytes of _flags, and reduce ORs them.
+    A forbidden graph is found by its rows in _positions, built only for
+    a level that holds one. Once every class of a level is bad, so is
+    every class of every larger order, each having a card one level
+    down; the table is then all infeasible, and no larger level is read
+    or built.
     """
     _check_n(n)
     # bad: the classes on k vertices that contain a forbidden graph
     bad = 0
     for k in range(1, n + 1):
         classes, up = _reps(k)
-        below, bad = bad, 0
-        while below:
-            bad |= up[below.bit_length() - 1]
-            below ^= 1 << below.bit_length() - 1
+        bad = reduce(or_, compress(up, _flags(bad)), 0)
         for pat in family.forbidden:
             if pat.order == k:
-                bad |= 1 << classes.index(pat)
-    return PairTable(n, tuple(mask & ~bad != 0 for mask in _edge_masks(n)))
+                bad |= 1 << _positions(k)[pat.rows]
+        if bad.bit_count() == len(classes):
+            return PairTable(n, (False,) * (n * (n - 1) // 2 + 1))
+    good = ~bad
+    return PairTable(n, tuple(mask & good != 0 for mask in _edge_masks(n)))
 
 
 def interval_check_p3k1(n: int) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import threading
 
 import pytest
@@ -69,6 +70,42 @@ def class_digest(classes):
 def test_class_sequence_is_pinned():
     for n, want in CLASS_SEQUENCE_SHA256.items():
         assert class_digest(enumerate_nonisomorphic(n)) == want, n
+
+
+# sha256 of the class masks, one lowercase hex number per line: the up
+# masks of _reps(n) and the edge masks of _edge_masks(n), recorded from
+# the build that set one bit at a time on Python ints; the n = 8 up masks
+# are checked bit for bit nowhere else
+UP_MASK_SHA256 = {
+    1: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    2: "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
+    3: "1011c676968490970f4ca4e575c70319400f387bf565de8c1b5c7bf9acc584d7",
+    4: "c6c5a5933dc76599fa3f51a53add163f1df667bc4ccbab04a35c5032e28bd687",
+    5: "fc59038f97b21b40b62b99ac42aa550855ac8a9b925be9ae1bfab48ef74bd36c",
+    6: "abe718b11e25fe2d26f4c43f40ca21c716edee27ecfc6d3c8b578855fa8d0bd6",
+    7: "fd5268b7dbd0d1a1d387bada487e8f1a56d7fb476296cad81f573a098b633937",
+    8: "e2d15249bfdd0881eba6b0fef355ef8b4c55e9d306bc84952774ec3c1e66a1f9",
+}
+EDGE_MASK_SHA256 = {
+    1: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    2: "b598b3a62a3f7cedb17e66d1cb31d53dffeebaf5c07e2c60d5e31971936fd35e",
+    3: "8592cfb8e0714e79e431eb507431beb3f75b70ba292883a92d08a663d21f53ba",
+    4: "f40d0ec14eba2e96919aefc6b421b8e9e7ed33fb341019ab07bc27816e0df17f",
+    5: "ef9bce9678f960c95b6aebb0510861558c2bb38fb98e54d52ca78951dc37c00f",
+    6: "7574d41412f798d1d3b33c69de19b7759c78031837c8e10390559efe22e4a17f",
+    7: "5b9e34e8cf6a564d5da5b69adce1f1b49da824007fb282cce51d40bedacffa02",
+    8: "a3358020d22a44fe3e9b97610518d4532ed31271f88284ee73c0fec407b9d20a",
+}
+
+
+def mask_digest(masks):
+    return hashlib.sha256("\n".join(format(m, "x") for m in masks).encode()).hexdigest()
+
+
+def test_class_masks_are_pinned():
+    for n in range(1, 9):
+        assert mask_digest(enumeration._reps(n)[1]) == UP_MASK_SHA256[n], n
+        assert mask_digest(enumeration._edge_masks(n)) == EDGE_MASK_SHA256[n], n
 
 
 # children _reps makes at each order, one per orbit of each parent's
@@ -444,12 +481,39 @@ WIDE_GAP_FAMILIES = (
 )
 
 
+def large_patterns(k):
+    """Classes on k vertices to forbid alone: the two that are each alone
+    at their edge count (1 and binom(k, 2) - 1 edges), so a table with the
+    wrong class marked shows it, and two drawn at random."""
+    classes = list(enumerate_nonisomorphic(k))
+    pats = [g for g in classes if g.edge_count in (1, binom2(k) - 1)]
+    return pats + random.Random(f"single-patterns/{k}").sample(classes, 2)
+
+
 def test_feasible_pairs_matches_reference_scan():
-    families = [FamilySpec([g]) for k in (4, 5) for g in enumerate_nonisomorphic(k)]
-    families += [FamilySpec([parse_graph(s) for s in specs]) for specs in WIDE_GAP_FAMILIES]
-    for n in (6, 7, 8):
-        for family in families:
-            assert feasible_pairs(family, n) == reference_feasible_pairs(family, n), (family, n)
+    cases = [(FamilySpec([g]), n) for k in (4, 5) for g in enumerate_nonisomorphic(k) for n in (6, 7, 8)]
+    cases += [(FamilySpec([g]), n) for k in (6, 7, 8) for g in large_patterns(k) for n in range(k, 9)]
+    # every order for these: {K3, E3} leaves one class on 5 vertices, C5,
+    # and none on 6, so a table that gives up a level early gets n = 5 wrong
+    cases += [
+        (FamilySpec([parse_graph(s) for s in specs]), n)
+        for specs in WIDE_GAP_FAMILIES
+        for n in range(0, 9)
+    ]
+    for family, n in cases:
+        assert feasible_pairs(family, n) == reference_feasible_pairs(family, n), (family, n)
+
+
+def test_tables_read_no_level_above_an_all_bad_one(monkeypatch):
+    # every graph on 6 vertices holds a triangle or an independent 3-set
+    # (R(3, 3) = 6), so level 6 is all bad and levels 7 and 8 are never read
+    read = []
+    reps = enumeration._reps
+    monkeypatch.setattr(enumeration, "_reps", lambda k: read.append(k) or reps(k))
+    table = feasible_pairs(FamilySpec([complete_graph(3), empty_graph(3)]), 8)
+    assert table.feasible == (False,) * (binom2(8) + 1)
+    assert (table.f, table.F) == (0, binom2(8))
+    assert max(read) == 6
 
 
 def test_pairs_p3k1_k3k1_at_five(p3_k1, k3_k1):
