@@ -82,10 +82,8 @@ def tabulate(args):
         print(f"n={n:<2} [{strip(table)}]  {gap}")
 
     if args.csv:
-        # one header, then every table's rows
-        parts = [table_to_csv(t).partition("\n") for t in tables]
         with open(args.csv, "w") as fh:
-            fh.write(parts[0][0] + "\n" + "".join(body for _, _, body in parts))
+            fh.write(table_to_csv(*tables))
         print(f"wrote {sum(len(t.feasible) for t in tables)} rows to {args.csv}")
 
 

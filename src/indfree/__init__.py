@@ -80,68 +80,5 @@ from .iso import Embedding, canonical_form, contains_induced, is_isomorphic, wl_
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "ClassTag",
-    "Construction",
-    "DegenerateForbiddenError",
-    "ENUMERATION_CAP",
-    "Embedding",
-    "FamilySpec",
-    "ForbiddenClass",
-    "Graph",
-    "HParams",
-    "IndfreeError",
-    "InfeasibleFamilyError",
-    "InternalInvariantError",
-    "MAX_ORDER",
-    "PairTable",
-    "ParameterError",
-    "ParseError",
-    "QParams",
-    "RangeError",
-    "SplitParams",
-    "TnfKind",
-    "ValidationError",
-    "WitnessCertificate",
-    "canonical_form",
-    "classify",
-    "complement",
-    "complete_graph",
-    "contains_induced",
-    "cycle_graph",
-    "decode_graph6",
-    "decode_graph6_list",
-    "disjoint_union",
-    "empty_graph",
-    "encode_graph6",
-    "encode_graph6_list",
-    "enumerate_nonisomorphic",
-    "feasible_pairs",
-    "h_graph",
-    "induced_subgraph",
-    "interval_check_p3k1",
-    "is_isomorphic",
-    "join",
-    "k3k2_decompose",
-    "k3k2_witness",
-    "make_graph",
-    "matching_graph",
-    "matching_witness",
-    "parse_edge_list",
-    "parse_graph",
-    "path_graph",
-    "q_graph",
-    "recognize_h",
-    "recognize_tnf",
-    "s_graph",
-    "split_pack_witness",
-    "star_graph",
-    "table_to_csv",
-    "table_to_json",
-    "tnf_infeasible_region",
-    "turan_max_edges",
-    "uep_witness",
-    "witness",
-    "wl_colors",
-]
+# every name imported above, less the submodules those imports bind
+__all__ = sorted(name for name, obj in globals().items() if name[0] != "_" and type(obj) is not type(iso))

@@ -102,5 +102,5 @@ def parse_graph(text: str) -> Graph:
     except ParseError as e:
         raise ParseError(
             f"{text!r} is not a catalog name, an edge list, or graph6 ({e.message})",
-            byte_offset(text, len(text) - len(text.lstrip()) + e.offset),
+            byte_offset(text, len(text) - len(text.lstrip())) + e.offset,
         )

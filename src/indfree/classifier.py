@@ -94,9 +94,10 @@ def recognize_h(g: Graph) -> HParams | None:
     Isolated vertices are split off as r first; a star center that lost
     all its clique edges (q = p-1) is itself isolated, so stripping makes
     the returned parameters canonical (q <= p-2, or p = 0) for free. The
-    remaining core must be a clique minus a star: each core vertex's
-    missing core neighbours, miss, must be empty or the star center,
-    except at the center itself, which misses all q edges.
+    remaining core must be a clique minus a star. The center is a core
+    vertex missing the most core neighbours; every other core vertex may
+    miss only the center, which then misses all q missing edges, so this
+    one check rejects every core that is not a clique minus a star.
     """
     core = 0
     for row in g.rows:
@@ -109,10 +110,7 @@ def recognize_h(g: Graph) -> HParams | None:
     q = sum(m.bit_count() for _, m in miss) // 2
     if q == 0:
         return HParams(p, 0, r)
-    center, hub = max(miss, key=lambda vm: vm[1].bit_count())
-    # a fast reject only: the loop below alone rejects every non-star
-    if hub.bit_count() != q:
-        return None
+    center = max(miss, key=lambda vm: vm[1].bit_count())[0]
     for v, m in miss:
         if v != center and m & ~(1 << center):
             return None

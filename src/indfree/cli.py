@@ -200,7 +200,7 @@ def cmd_decode(args) -> str:
     try:
         g = decode_graph6(text.strip())
     except ParseError as e:
-        raise ParseError(e.message, byte_offset(text, len(text) - len(text.lstrip()) + e.offset))
+        raise ParseError(e.message, byte_offset(text, len(text) - len(text.lstrip())) + e.offset)
     if args.json:
         return json.dumps(
             {
@@ -213,10 +213,10 @@ def cmd_decode(args) -> str:
     return _edge_list_literal(g)
 
 
-def _add_graph_input(sub, required: bool = False):
+def _add_graph_input(sub):
     sub.add_argument(
         "spec",
-        nargs=None if required else "?",
+        nargs="?",
         help="graph specifier: catalog name (claw, paw, diamond, complete:k, "
         "empty:k, path:k with k vertices, cycle:k, star:k with k leaves, "
         "matching:k, H:p,q,r, S:p,r, Q:p,r,x,y) or graph6",

@@ -4,12 +4,14 @@ This module is the independent check on everything the constructions
 promise: it enumerates all graphs on up to 8 vertices one isomorphism
 class at a time, then marks which edge counts admit a member avoiding
 every forbidden pattern. Representatives are canonical forms, so two
-runs always agree.
+runs always agree. Inside the module a class is the row tuple of its
+form; only enumerate_nonisomorphic wraps rows in a Graph.
 
 Each order is built by giving every class one order down, a parent,
 one more vertex. Complementation maps the children of a parent P onto
 those of its complement class. So parents come in units, P with its
-complement class, served by one search of complement(P); only P has
+complement class, served by one search of P's complement rows, which
+graphs._co_rows gives as it gives every complement here; only P has
 its children canonicalized, and its partner's forms are the complements
 of P's. The units are cut into contiguous runs, one per CPU; forked
 helpers work through every run but the first, and the calling process
@@ -44,7 +46,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 from .errors import CapacityError, RangeError, ValidationError
 from .graph6 import encode_graph6
-from .graphs import Graph, complement, induced_subgraph
+from .graphs import Graph, _co_rows, _relabel
 from .iso import _aut_generators, _canon_rows, _search, canonical_form
 
 ENUMERATION_CAP = 8
@@ -67,18 +69,19 @@ def _check_n(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _reps(n: int) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
-    """The canonical class representatives on n vertices, in class order,
-    and the masks up: bit i of up[j] is set when class i has class j of
-    _reps(n - 1) in its deck.
+def _reps(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The canonical class representatives on n vertices as row tuples,
+    in class order, and the masks up: bit i of up[j] is set when class i
+    has class j of _reps(n - 1) in its deck.
 
     Every order is built from the one below: _children gives each parent
     P on n - 1 vertices one new vertex with every neighbourhood mask that
     is least in its orbit under Aut(P), in ascending order, and the
     canonical forms of those children. Each child's canonical form is
-    kept the first time it appears. For n <= 6 the classes are then
-    sorted by _scan_code, the order of the module docstring; for n >= 7
-    the order of first discovery is the class order.
+    kept the first time it appears, as the tuple of the n row bytes
+    _merge reads. For n <= 6 the classes are then sorted by _scan_code,
+    the order of the module docstring; for n >= 7 the order of first
+    discovery is the class order.
 
     Every child sets its bit in its parent's mask, and so every card of
     every class is recorded: for any vertex v of a class C, C - v is
@@ -88,9 +91,10 @@ def _reps(n: int) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
     the masks are rebuilt after the sort, with the bits at the sorted
     positions.
 
-    _units pairs each parent with its complement class, and _reps cuts
-    those units, in class order, into contiguous runs, one per CPU the
-    process may run on but none for fewer than _MIN_RUN parents. Both
+    _units pairs each parent with its complement class, found in
+    _positions(n - 1), and _reps cuts those units, in class order, into
+    contiguous runs, one per CPU the process may run on but none for
+    fewer than _MIN_RUN parents. Both
     parents of a unit go to one run, so _children canonicalizes the
     children of only one of them. A forked helper runs _children on each
     run but the first and writes the forms to a pipe; this process packs
@@ -107,7 +111,7 @@ def _reps(n: int) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
     _reps returns or raises.
     """
     if n == 0:
-        return (Graph(0, ()),), ()
+        return ((),), ()
     parents = _reps(n - 1)[0]
     units = _units(parents)
     w = max(1, min(_cpus(), len(parents) // _MIN_RUN))
@@ -150,7 +154,7 @@ def _reps(n: int) -> tuple[tuple[Graph, ...], tuple[int, ...]]:
     forms, up = _merge(n, spans)
     # the blobs go before the classes are built
     spans.clear()
-    out = [Graph(n, tuple(c)) for c in forms]
+    out = [tuple(c) for c in forms]
     if n <= 6:
         order = sorted(range(len(out)), key=lambda i: _scan_code(out[i]))
         out = [out[i] for i in order]
@@ -194,15 +198,16 @@ def _flags(mask: int) -> bytes:
 
 
 def _units(parents) -> list[tuple[int, int, tuple[int, ...], list[tuple[int, ...]]]]:
-    """One (i, j, lam, gens) per complement pair of parents, in class
-    order of i: parents[j] is the complement class of parents[i], with
-    j >= i, and j == i for a self-complementary parent; lam is an
-    isomorphism from parents[j] onto complement(parents[i]), parents[j]'s
-    vertex k being complement(parents[i])'s vertex lam[k]; and gens
-    generate Aut(parents[i]).
+    """One (i, j, lam, gens) per complement pair of parents, the row
+    tuples of one level, in class order of i: parents[j] is the
+    complement class of parents[i], with j >= i, and j == i for a
+    self-complementary parent; lam is an isomorphism from parents[j] onto
+    complement(parents[i]), parents[j]'s vertex k being
+    complement(parents[i])'s vertex lam[k]; and gens generate Aut(parents[i]).
 
-    One search serves a pair. parents[j] is canonical_form(complement(P)),
-    which relabels complement(P) by lam, the first leaf of its search.
+    One search serves a pair. parents[j], found in _positions, is the
+    form of P's complement rows _co_rows(P), relabelled by lam, the
+    first leaf of their search.
     The same leaves give gens: P and complement(P) have the same
     automorphisms, since a permutation keeps the edges iff it keeps the
     non-edges, and the same twin classes, since N(u) = N(v) in P iff u
@@ -210,25 +215,25 @@ def _units(parents) -> list[tuple[int, int, tuple[int, ...], list[tuple[int, ...
     other way round. So the tied leaves and twin swaps that generate
     Aut(complement(P)) generate Aut(P).
     """
-    pos = {p: i for i, p in enumerate(parents)}
+    pos = _positions(len(parents[0]))
     done = bytearray(len(parents))
     units = []
     for i, p in enumerate(parents):
         if done[i]:
             continue
-        co = complement(p)
-        leaves = _search(co.rows)
-        j = pos[induced_subgraph(co, leaves[0])]
+        co = _co_rows(p)
+        leaves = _search(co)
+        j = pos[_relabel(co, leaves[0])]
         done[j] = 1
-        units.append((i, j, leaves[0], _aut_generators(co.rows, leaves)))
+        units.append((i, j, leaves[0], _aut_generators(co, leaves)))
     return units
 
 
 def _children(n: int, parents, units) -> Iterator[list[tuple[int, ...]]]:
     """For each unit of _units, the lists of parents[i] and then, unless
-    j == i, of parents[j]: the rows of the canonical forms of the parent's
-    children whose new vertex's mask is least in its orbit under
-    Aut(parent), in mask order.
+    j == i, of parents[j] (row tuples): the rows of the canonical forms of
+    the parent's children whose new vertex's mask is least in its orbit
+    under Aut(parent), in mask order.
 
     A mask is skipped unless it is the least of its orbit. Some
     automorphism maps the orbit's least mask, met earlier, onto the
@@ -248,18 +253,17 @@ def _children(n: int, parents, units) -> Iterator[list[tuple[int, ...]]]:
     as complement complement(Q) plus a vertex joined to the vertices
     outside S, which lam relabels to P + T, where T holds the lam[k]
     with k not in S. So Q + S and complement(P + T) are isomorphic, and
-    P's form C for the orbit of T gives Q + S the form
-    canonical_form(complement(C)), cached per class both ways. The
-    relabelling maps orbits of Aut(Q) onto orbits of Aut(P), so the
-    masks S whose T meets an orbit first are the least of their orbits
-    under Aut(Q), and Q's list is the one the direct path gives.
+    P's form C for the orbit of T gives Q + S the form of _co_rows(C),
+    cached per class both ways. The relabelling maps orbits of Aut(Q)
+    onto orbits of Aut(P), so the masks S whose T meets an orbit first
+    are the least of their orbits under Aut(Q), and Q's list is the one
+    the direct path gives.
     """
     full = (1 << (n - 1)) - 1
-    every = full | 1 << (n - 1)
-    # flip[C]: the rows of canonical_form(complement(C)), C given by rows
+    # flip[C]: the form of _co_rows(C), C and the form given by rows
     flip: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i, j, lam, gens in units:
-        prows = parents[i].rows
+        prows = parents[i]
         # images[k][mask]: the image of mask under the k-th generator
         images = [_images(perm) for perm in gens]
         orbit = [-1] * (full + 1)
@@ -291,7 +295,7 @@ def _children(n: int, parents, units) -> Iterator[list[tuple[int, ...]]]:
                 c = forms[o]
                 d = flip.get(c)
                 if d is None:
-                    d = flip[c] = _canon_rows([every ^ r ^ 1 << v for v, r in enumerate(c)])
+                    d = flip[c] = _canon_rows(_co_rows(c))
                     flip[d] = c
                 flipped.append(d)
         yield flipped
@@ -379,13 +383,13 @@ def _spans(n: int, blob: bytes, parents: int) -> list[tuple[int, int]] | None:
     return spans
 
 
-def _scan_code(g: Graph) -> int:
-    """Labeled adjacency code: bit i set for the i-th pair (u, v), u < v,
-    in lexicographic order."""
+def _scan_code(rows) -> int:
+    """Labeled adjacency code of a graph given by its rows: bit i set for
+    the i-th pair (u, v), u < v, in lexicographic order."""
     code = shift = 0
-    for u, r in enumerate(g.rows):
+    for u, r in enumerate(rows):
         code |= r >> (u + 1) << shift
-        shift += g.order - 1 - u
+        shift += len(rows) - 1 - u
     return code
 
 
@@ -400,15 +404,15 @@ def _edge_masks(n: int) -> tuple[int, ...]:
     classes = _reps(n)[0]
     # buckets[m]: the positions of the classes with m edges
     buckets: list[list[int]] = [[] for _ in range(n * (n - 1) // 2 + 1)]
-    for i, g in enumerate(classes):
-        buckets[sum(bytes(g.rows).translate(_POPCOUNT)) >> 1].append(i)
+    for i, rows in enumerate(classes):
+        buckets[sum(bytes(rows).translate(_POPCOUNT)) >> 1].append(i)
     return tuple(_bitmap(b, len(classes)) for b in buckets)
 
 
 @lru_cache(maxsize=None)
 def _positions(n: int) -> dict[tuple[int, ...], int]:
     """The position of each class in _reps(n), keyed by its rows."""
-    return {g.rows: i for i, g in enumerate(_reps(n)[0])}
+    return {rows: i for i, rows in enumerate(_reps(n)[0])}
 
 
 def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
@@ -416,10 +420,11 @@ def enumerate_nonisomorphic(n: int) -> Iterator[Graph]:
 
     Exhaustive only up to n = 8 (12346 classes); beyond that the space
     outgrows desk scale and this package offers no sampling fallback.
-    The order is checked, and the classes built, when it is called.
+    The order is checked, and the classes built, when it is called; each
+    Graph wraps the row tuple _reps holds for its class.
     """
     _check_n(n)
-    return iter(_reps(n)[0])
+    return map(partial(Graph, n), _reps(n)[0])
 
 
 @dataclass(frozen=True)
@@ -507,10 +512,12 @@ def interval_check_p3k1(n: int) -> tuple[int, int]:
     return n // 2 + 1, n - 2
 
 
-def table_to_csv(table: PairTable) -> str:
+def table_to_csv(*tables: PairTable) -> str:
+    """One n,m,feasible header, then every row of each table in turn."""
     lines = ["n,m,feasible"]
-    for m, ok in enumerate(table.feasible):
-        lines.append(f"{table.n},{m},{str(ok).lower()}")
+    for table in tables:
+        for m, ok in enumerate(table.feasible):
+            lines.append(f"{table.n},{m},{str(ok).lower()}")
     return "\n".join(lines) + "\n"
 
 

@@ -114,9 +114,10 @@ def decode_graph6(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     need = pos + (nbits + 5) // 6
     if len(text) != need:
+        # the only error that may have non-ASCII text before its offset
         raise ParseError(
             f"graph6 string for order {n} needs {need} bytes, got {byte_offset(text, len(text))}",
-            min(len(text), need),
+            byte_offset(text, min(len(text), need)),
         )
     body = text[pos:]
     # deleting the bytes 63..126 leaves the bad ones; only then find the first
@@ -162,6 +163,6 @@ def decode_graph6_list(text: str) -> list[Graph]:
                 out.append(decode_graph6(stripped))
             except ParseError as e:
                 lead = len(line) - len(line.lstrip())
-                raise ParseError(e.message, byte_offset(text, start + lead + e.offset))
+                raise ParseError(e.message, byte_offset(text, start + lead) + e.offset)
         start += len(line) + 1
     return out

@@ -92,8 +92,13 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Flip every off-diagonal adjacency bit."""
-    full = (1 << g.order) - 1
-    return Graph(g.order, tuple([(full & ~r) & ~(1 << v) for v, r in enumerate(g.rows)]))
+    return Graph(g.order, _co_rows(g.rows))
+
+
+def _co_rows(rows) -> tuple[int, ...]:
+    """complement's rows: each row's bits flipped but the diagonal one."""
+    full = (1 << len(rows)) - 1
+    return tuple([full ^ r ^ 1 << v for v, r in enumerate(rows)])
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

@@ -419,7 +419,7 @@ def reference_decode_graph6(text: str) -> Graph:
     if len(text) != need:
         raise ParseError(
             f"graph6 string for order {n} needs {need} bytes, got {byte_offset(text, len(text))}",
-            min(len(text), need),
+            byte_offset(text, min(len(text), need)),
         )
     rows = [0] * n
     acc = 0

@@ -12,6 +12,7 @@ import pytest
 from indfree import (
     CapacityError,
     FamilySpec,
+    Graph,
     PairTable,
     RangeError,
     ValidationError,
@@ -168,6 +169,7 @@ def test_reps_canonicalizes_one_child_per_orbit(monkeypatch):
 
 
 def unit_list(n):
+    """The parents on n - 1 vertices as row tuples, and their units."""
     parents = enumeration._reps(n - 1)[0]
     return parents, enumeration._units(parents)
 
@@ -185,7 +187,7 @@ def run_parents(run):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_children_match_reference(n):
     parents, units = unit_list(n)
-    want = list(reference_children(n, parents))
+    want = list(reference_children(n, [Graph(n - 1, p) for p in parents]))
     # (a) in runs of units, merged back into class order
     for w in (1, 2, 3):
         got = [None] * len(parents)
@@ -194,7 +196,7 @@ def test_children_match_reference(n):
                 got[i] = forms
         assert got == want, w
     # (b) every parent a unit of its own, so every parent takes the direct path
-    own = [(i, i, None, _aut_generators(p.rows, _search(p.rows))) for i, p in enumerate(parents)]
+    own = [(i, i, None, _aut_generators(p, _search(p))) for i, p in enumerate(parents)]
     assert list(enumeration._children(n, parents, own)) == want
 
 
@@ -207,10 +209,11 @@ def test_units_pair_each_parent_with_its_complement():
         assert firsts == sorted(set(firsts))
         for i, j, lam, _ in units:
             assert i <= j
-            assert parents[j] == canonical_form(complement(parents[i]))
+            p, q = Graph(n - 1, parents[i]), Graph(n - 1, parents[j])
+            assert q == canonical_form(complement(p))
             # lam maps parents[j] onto complement(parents[i]): parents[j]'s
             # vertex k is its vertex lam[k]
-            assert induced_subgraph(complement(parents[i]), lam) == parents[j]
+            assert induced_subgraph(complement(p), lam) == q
 
 
 def test_unit_generators_generate_the_parent_group():
@@ -218,7 +221,8 @@ def test_unit_generators_generate_the_parent_group():
     for n in range(1, 9):
         parents, units = unit_list(n)
         for i, _, _, gens in units:
-            assert generated_group(gens, n - 1) == set(reference_automorphisms(parents[i])), (n, i)
+            want = set(reference_automorphisms(Graph(n - 1, parents[i])))
+            assert generated_group(gens, n - 1) == want, (n, i)
 
 
 def no_fork():
@@ -293,7 +297,7 @@ def test_reps_same_for_any_number_of_slices(monkeypatch, forks, n, w):
     classes, up = enumeration._reps.__wrapped__(n)
     assert_no_helper_left()
     assert len(forks) == w - 1
-    assert class_digest(classes) == CLASS_SEQUENCE_SHA256[n]
+    assert class_digest(Graph(n, c) for c in classes) == CLASS_SEQUENCE_SHA256[n]
     assert up == enumeration._reps(n)[1]
 
 
@@ -388,10 +392,11 @@ def test_reps_records_every_card():
     # of C's cards, each found here by deleting a vertex and canonicalizing
     for n in range(2, 8):
         classes, up = enumeration._reps(n)
-        index = {g: j for j, g in enumerate(enumeration._reps(n - 1)[0])}
+        index = {rows: j for j, rows in enumerate(enumeration._reps(n - 1)[0])}
         for i, c in enumerate(classes):
+            g = Graph(n, c)
             deck = {
-                index[canonical_form(induced_subgraph(c, [u for u in range(n) if u != v]))]
+                index[canonical_form(induced_subgraph(g, [u for u in range(n) if u != v])).rows]
                 for v in range(n)
             }
             assert {j for j, kids in enumerate(up) if kids >> i & 1} == deck, (n, i)
@@ -412,6 +417,18 @@ def test_representatives_are_pairwise_nonisomorphic():
         reps = list(enumerate_nonisomorphic(n))
         assert len({canonical_form(g) for g in reps}) == len(reps)
         assert all(g == canonical_form(g) for g in reps)
+
+
+def test_enumeration_wraps_the_rows_reps_holds():
+    # _reps keeps each class as its row tuple; enumerate_nonisomorphic
+    # wraps that same tuple in a Graph, in class order
+    for n in range(9):
+        reps = enumeration._reps(n)[0]
+        got = list(enumerate_nonisomorphic(n))
+        assert len(got) == len(reps) == (EXPECTED_COUNTS.get(n, 1))
+        for g, rows in zip(got, reps):
+            assert type(g) is Graph and g.order == n
+            assert g.rows is rows
 
 
 def test_five_vertex_graphs_with_three_edges():
@@ -594,11 +611,23 @@ def test_pair_table_f_and_big_f_none_when_all_feasible():
 
 
 def test_csv_export(p3_k1, k3_k1):
-    table = feasible_pairs(FamilySpec([p3_k1, k3_k1]), 5)
+    family = FamilySpec([p3_k1, k3_k1])
+    table = feasible_pairs(family, 5)
     rows = list(csv.DictReader(io.StringIO(table_to_csv(table))))
     assert len(rows) == binom2(5) + 1
     assert rows[3] == {"n": "5", "m": "3", "feasible": "false"}
     assert rows[0] == {"n": "5", "m": "0", "feasible": "true"}
+    # two tables: one header, then each table's rows in turn
+    six = feasible_pairs(family, 6)
+    text = table_to_csv(table, six)
+    assert text.count("n,m,feasible") == 1
+    assert text == table_to_csv(table) + table_to_csv(six).partition("\n")[2]
+    both = list(csv.DictReader(io.StringIO(text)))
+    assert len(both) == binom2(5) + 1 + binom2(6) + 1
+    assert both[:len(rows)] == rows
+    assert both[len(rows)] == {"n": "6", "m": "0", "feasible": "true"}
+    # K6 has no induced P3 + K1 or K3 + K1
+    assert both[-1] == {"n": "6", "m": str(binom2(6)), "feasible": "true"}
 
 
 def test_json_export(p3_k1, k3_k1):

@@ -107,6 +107,14 @@ def test_decode_rejects_bad_length():
         decode_graph6("D???")
 
 
+def test_decode_length_offset_counts_bytes():
+    # the excess starts after "B\u00e9", which takes three UTF-8 bytes
+    with pytest.raises(ParseError) as err:
+        decode_graph6("B\u00e9?")
+    assert err.value.offset == 3
+    assert str(err.value) == "graph6 string for order 3 needs 2 bytes, got 4 (at byte 3)"
+
+
 def test_decode_rejects_out_of_range_byte():
     with pytest.raises(ParseError) as err:
         decode_graph6("D" + chr(10) + "?")
@@ -251,6 +259,7 @@ MALFORMED = {
     "long by one": reference_encode_graph6(complete_graph(10)) + "?",
     "long form, short by one": reference_encode_graph6(complete_graph(63))[:-1],
     "long form, long by one": reference_encode_graph6(complete_graph(64)) + "~",
+    "long after a two-byte character": "B\u00e9?",
     # orders 2, 10 and 63 leave 5, 3 and 3 padding bits
     "padding, order 2, lowest bit": "A@",
     "padding, order 2, highest bit": "AO",
