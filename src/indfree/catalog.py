@@ -31,12 +31,12 @@ _FIXED = {
 }
 
 _PARAMETRIC = {
-    "complete": (1, lambda k: complete_graph(k)),
-    "empty": (1, lambda k: empty_graph(k)),
-    "path": (1, lambda k: path_graph(k)),
-    "cycle": (1, lambda k: cycle_graph(k)),
-    "star": (1, lambda k: star_graph(k)),
-    "matching": (1, lambda k: matching_graph(k)),
+    "complete": (1, complete_graph),
+    "empty": (1, empty_graph),
+    "path": (1, path_graph),
+    "cycle": (1, cycle_graph),
+    "star": (1, star_graph),
+    "matching": (1, matching_graph),
     "h": (3, lambda p, q, r: h_graph(HParams(p, q, r))),
     "s": (2, lambda p, r: s_graph(SplitParams(p, r))),
     "q": (4, lambda p, r, x, y: q_graph(QParams(p, r, x, y))),

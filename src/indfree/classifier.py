@@ -18,6 +18,7 @@ from .errors import (
     InfeasibleFamilyError,
     InternalInvariantError,
     ParameterError,
+    RangeError,
 )
 from .graphs import Graph, complement
 from .iso import contains_induced
@@ -206,9 +207,13 @@ def tnf_infeasible_region(kind: TnfKind, k: int, n: int) -> tuple[range, bool]:
     it edge-deleted Turan graphs realize every count. The minus-edge kinds
     only have the one-sided bound from packing t = floor((n-k+2)/2) edge
     deletions, so their flag reports the region as not exact.
+
+    Raises ParameterError for k < 2, and otherwise RangeError for n < 1.
     """
-    if k < 2 or n < 1:
+    if k < 2:
         raise ParameterError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+    if n < 1:
+        raise RangeError(f"vertex count must be at least 1, got {n}")
     full = n * (n - 1) // 2
     if kind is TnfKind.CLIQUE:
         ex = turan_max_edges(n, k)

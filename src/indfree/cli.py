@@ -3,6 +3,8 @@
 Subcommands: classify, witness, pairs, bounds, encode, decode. Graphs are
 given as a catalog name, graph6, or an edge-list literal via --edges.
 Note that path:k counts vertices, not edges; star:k counts leaves.
+Every subcommand takes --json and --out. A command returns its text, or
+its --json document as a dict, and main alone writes the output.
 
 Exit codes, stable across releases:
   0  success
@@ -48,14 +50,6 @@ from .errors import (
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import Graph
 
-EXIT_PARSE = 2
-EXIT_RANGE = 3
-EXIT_CAPACITY = 4
-EXIT_INFEASIBLE = 5
-EXIT_INTERNAL = 6
-EXIT_PARAMETER = 7
-EXIT_IO = 8
-
 _KIND_NAMES = [k.value for k in TnfKind]
 # most edge counts `bounds --json` lists, since the list and its text
 # are built in memory (n = 4096, 4,192,256 entries, writes 54 MB);
@@ -64,35 +58,28 @@ BOUNDS_JSON_CAP = 1 << 22
 
 
 def _input_graph(args) -> tuple[Graph, str]:
-    if getattr(args, "edges", None):
+    if args.edges:
         return parse_edge_list(args.edges), args.edges
-    if getattr(args, "spec", None):
+    if args.spec:
         return parse_graph(args.spec), args.spec
     raise ParseError("no graph given: pass a specifier or --edges", 0)
 
 
-def _edge_list_literal(g: Graph) -> str:
-    return f"{g.order};" + ",".join(f"{u}-{v}" for u, v in g.edges())
-
-
-def cmd_classify(args) -> str:
+def cmd_classify(args) -> str | dict:
     g, text = _input_graph(args)
     cls = classify(g)
     feasible = cls.tag is not ClassTag.TNF
     if args.json:
-        return json.dumps(
-            {
-                "input": text,
-                "order": g.order,
-                "edge_count": g.edge_count,
-                "verdict": "Feasible" if feasible else "Infeasible",
-                "tag": cls.tag.value,
-                "tnf_kind": cls.tnf_kind.value if cls.tnf_kind else None,
-                "k": cls.k,
-                "h": {"p": cls.h.p, "q": cls.h.q, "r": cls.h.r} if cls.h else None,
-            },
-            indent=2,
-        )
+        return {
+            "input": text,
+            "order": g.order,
+            "edge_count": g.edge_count,
+            "verdict": "Feasible" if feasible else "Infeasible",
+            "tag": cls.tag.value,
+            "tnf_kind": cls.tnf_kind.value if cls.tnf_kind else None,
+            "k": cls.k,
+            "h": {"p": cls.h.p, "q": cls.h.q, "r": cls.h.r} if cls.h else None,
+        }
     lines = [f"order {g.order}, edges {g.edge_count}"]
     if feasible:
         lines.append("verdict: Feasible")
@@ -105,22 +92,19 @@ def cmd_classify(args) -> str:
     return "\n".join(lines)
 
 
-def cmd_witness(args) -> str:
+def cmd_witness(args) -> str | dict:
     g, text = _input_graph(args)
     cert = witness(g, args.n, args.m, verify=args.verify)
     g6 = encode_graph6(cert.graph)
     if args.json:
-        return json.dumps(
-            {
-                "forbidden": text,
-                "n": cert.n,
-                "m": cert.m,
-                "graph6": g6,
-                "construction": cert.construction.value,
-                "verified": cert.verified,
-            },
-            indent=2,
-        )
+        return {
+            "forbidden": text,
+            "n": cert.n,
+            "m": cert.m,
+            "graph6": g6,
+            "construction": cert.construction.value,
+            "verified": cert.verified,
+        }
     return "\n".join(
         [
             g6,
@@ -131,10 +115,8 @@ def cmd_witness(args) -> str:
 
 
 def cmd_pairs(args) -> str:
-    specs = list(args.specs)
-    texts = specs + list(args.edges or [])
-    graphs = [parse_graph(s) for s in specs]
-    graphs += [parse_edge_list(e) for e in args.edges or []]
+    texts = args.specs + (args.edges or [])
+    graphs = [parse_graph(s) for s in args.specs] + [parse_edge_list(e) for e in args.edges or []]
     if not graphs:
         raise ParseError("pairs needs at least one forbidden graph", 0)
     # before FamilySpec, whose canonical forms can be slow on large patterns
@@ -159,7 +141,7 @@ def cmd_pairs(args) -> str:
     return "\n".join(lines)
 
 
-def cmd_bounds(args) -> str:
+def cmd_bounds(args) -> str | dict:
     kind = TnfKind(args.kind)
     region, exact = tnf_infeasible_region(kind, args.k, args.n)
     if args.json:
@@ -167,16 +149,7 @@ def cmd_bounds(args) -> str:
         size = region.stop - region.start
         if size > BOUNDS_JSON_CAP:
             raise CapacityError(f"bounds --json lists at most {BOUNDS_JSON_CAP} edge counts, got {size}")
-        return json.dumps(
-            {
-                "kind": kind.value,
-                "k": args.k,
-                "n": args.n,
-                "infeasible": list(region),
-                "exact": exact,
-            },
-            indent=2,
-        )
+        return {"kind": kind.value, "k": args.k, "n": args.n, "infeasible": list(region), "exact": exact}
     span = f"[{region[0]}, {region[-1]}]" if region else "(empty)"
     return "\n".join(
         [
@@ -187,30 +160,20 @@ def cmd_bounds(args) -> str:
     )
 
 
-def cmd_encode(args) -> str:
-    g, _ = _input_graph(args)
-    g6 = encode_graph6(g)
-    if args.json:
-        return json.dumps({"graph6": g6}, indent=2)
-    return g6
+def cmd_encode(args) -> str | dict:
+    g6 = encode_graph6(_input_graph(args)[0])
+    return {"graph6": g6} if args.json else g6
 
 
-def cmd_decode(args) -> str:
+def cmd_decode(args) -> str | dict:
     text = args.graph6
     try:
         g = decode_graph6(text.strip())
     except ParseError as e:
         raise ParseError(e.message, byte_offset(text, len(text) - len(text.lstrip())) + e.offset)
     if args.json:
-        return json.dumps(
-            {
-                "order": g.order,
-                "edge_count": g.edge_count,
-                "edges": [[u, v] for u, v in g.edges()],
-            },
-            indent=2,
-        )
-    return _edge_list_literal(g)
+        return {"order": g.order, "edge_count": g.edge_count, "edges": [[u, v] for u, v in g.edges()]}
+    return f"{g.order};" + ",".join(f"{u}-{v}" for u, v in g.edges())
 
 
 def _add_graph_input(sub):
@@ -238,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("classify", help="feasibility verdict and shape of a forbidden graph")
     _add_graph_input(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("witness", help="construct a graph on (n, m) avoiding the forbidden graph")
@@ -246,14 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, help="vertex count")
     p.add_argument("m", type=int, help="edge count")
     p.add_argument("--verify", action="store_true", help="re-check with the embedding oracle")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_witness)
 
     p = subs.add_parser("pairs", help="exact feasible-pair table by exhaustive enumeration")
     p.add_argument("specs", nargs="*", help="forbidden graphs (catalog names or graph6)")
     p.add_argument("--edges", action="append", help="additional forbidden graph as edge list")
     p.add_argument("-n", type=int, required=True, help="vertex count (at most 8)")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_pairs)
 
@@ -261,20 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=_KIND_NAMES)
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
     p = subs.add_parser("encode", help="print the graph6 form of a graph")
     _add_graph_input(p)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_encode)
 
     p = subs.add_parser("decode", help="print the edge list of a graph6 string")
     p.add_argument("graph6")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decode)
 
     for sp in subs.choices.values():
+        sp.add_argument("--json", action="store_true")
         sp.add_argument("--out", help="write output to a file instead of stdout")
     return parser
 
@@ -286,6 +244,8 @@ def main(argv=None) -> int:
         out = args.func(args)
     except IndfreeError as e:
         return fail(e)
+    if isinstance(out, dict):
+        out = json.dumps(out, indent=2)
     try:
         if args.out:
             with open(args.out, "w") as fh:
@@ -297,16 +257,17 @@ def main(argv=None) -> int:
     return 0
 
 
+# the codes of the table in the module docstring, by exception class
 EXIT_CODES = {
-    ParseError: EXIT_PARSE,
-    RangeError: EXIT_RANGE,
-    CapacityError: EXIT_CAPACITY,
-    InfeasibleFamilyError: EXIT_INFEASIBLE,
-    DegenerateForbiddenError: EXIT_INFEASIBLE,
-    InternalInvariantError: EXIT_INTERNAL,
-    ParameterError: EXIT_PARAMETER,
-    ValidationError: EXIT_PARAMETER,
-    OSError: EXIT_IO,
+    ParseError: 2,
+    RangeError: 3,
+    CapacityError: 4,
+    InfeasibleFamilyError: 5,
+    DegenerateForbiddenError: 5,
+    InternalInvariantError: 6,
+    ParameterError: 7,
+    ValidationError: 7,
+    OSError: 8,
 }
 
 

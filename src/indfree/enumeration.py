@@ -105,10 +105,10 @@ def _reps(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     runs nor on which parent of a pair took the complement path. No
     helper is forked where os.fork is missing or a second thread runs,
     since a forked copy of a threaded process may hold a lock no thread
-    will release. A run whose fork fails, whose helper exits nonzero, or
-    whose blob does not decode to exactly its parents is recomputed
-    here, and every helper not yet reaped is killed and reaped before
-    _reps returns or raises.
+    will release. A run whose pipe or fork fails, whose helper exits
+    nonzero, or whose blob does not decode to exactly its parents is
+    recomputed here, and every helper not yet reaped is killed and
+    reaped before _reps returns or raises.
     """
     if n == 0:
         return ((),), ()
@@ -329,13 +329,17 @@ def _pack(lists) -> bytes:
 
 def _fork_helper(job) -> tuple[int, BinaryIO] | None:
     """Fork a helper that writes the blob job() returns to a pipe and
-    exits; its pid and the pipe's read end, or None when the fork fails.
+    exits; its pid and the pipe's read end, or None when the pipe or the
+    fork fails.
 
     The helper writes nothing else and leaves through os._exit, so no
     buffer or exit handler it inherited runs twice; it exits 1 if
     anything raised.
     """
-    r, w = os.pipe()
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:

@@ -35,7 +35,7 @@ them. On a cycle every vertex ties at the first slot: on C14 as
 cycle_graph labels it, the walk takes 81,723 nodes in 14 subtrees that
 are images of each other under the rotations. Skipping those images
 would need the automorphisms found at tied leaves (McKay & Piperno);
-the ways out that change outputs wait on a decision (ROADMAP item 5).
+the ways out that change outputs wait on a decision (ROADMAP item 7).
 
 contains_induced runs on witness hosts of up to 64 vertices. It skips
 twin vertices and whole twin classes that a host automorphism

@@ -313,3 +313,14 @@ def test_region_parameter_errors():
         tnf_infeasible_region(TnfKind.CLIQUE, 1, 5)
     with pytest.raises(ParameterError):
         turan_max_edges(5, 1)
+
+
+@pytest.mark.parametrize("kind", list(TnfKind))
+def test_region_vertex_count_is_a_range_error(kind):
+    # a bad n is a range error, as for witness and feasible_pairs; a bad
+    # k is still a parameter error, and is reported first
+    for n in (0, -1):
+        with pytest.raises(RangeError, match=f"vertex count must be at least 1, got {n}"):
+            tnf_infeasible_region(kind, 3, n)
+        with pytest.raises(ParameterError):
+            tnf_infeasible_region(kind, 1, n)

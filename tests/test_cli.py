@@ -10,8 +10,15 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from indfree import (
+    CapacityError,
+    DegenerateForbiddenError,
     IndfreeError,
+    InfeasibleFamilyError,
+    InternalInvariantError,
+    ParameterError,
     ParseError,
+    RangeError,
+    ValidationError,
     complete_graph,
     decode_graph6,
     disjoint_union,
@@ -396,6 +403,22 @@ def test_bounds_parameter_exit(capsys):
     assert code == 7
 
 
+@pytest.mark.parametrize(
+    "k, n, code, message",
+    [
+        ("3", "0", 3, "vertex count must be at least 1, got 0"),
+        ("3", "-1", 3, "vertex count must be at least 1, got -1"),
+        # a bad k is reported first
+        ("1", "0", 7, "need k >= 2 and n >= 1, got k=1, n=0"),
+    ],
+    ids=["n=0", "n=-1", "k=1"],
+)
+def test_bounds_vertex_count_exits_3(capsys, k, n, code, message):
+    for kind in ("Clique", "CliqueMinusEdge", "Empty", "EmptyPlusEdge"):
+        for form in ([], ["--json"]):
+            assert run(capsys, "bounds", kind, k, n, *form) == (code, "", f"error: {message}\n")
+
+
 # encode / decode
 
 
@@ -536,6 +559,21 @@ def test_closed_stdout_exits_8_without_traceback(argv):
     assert "Exception ignored" not in proc.stderr
 
 
+def test_exit_codes_are_the_documented_numbers():
+    # the table in the cli docstring and the README
+    assert EXIT_CODES == {
+        ParseError: 2,
+        RangeError: 3,
+        CapacityError: 4,
+        InfeasibleFamilyError: 5,
+        DegenerateForbiddenError: 5,
+        InternalInvariantError: 6,
+        ParameterError: 7,
+        ValidationError: 7,
+        OSError: 8,
+    }
+
+
 def test_every_package_error_has_an_exit_code():
     pending = list(IndfreeError.__subclasses__())
     assert pending
@@ -554,6 +592,9 @@ def pinned_digest(capsys, argvs) -> str:
     h = hashlib.sha256()
     for argv in argvs:
         code, out, _ = run(capsys, *argv)
+        if "--out" in argv:
+            # stdout is empty; the file takes its place
+            out = Path(argv[argv.index("--out") + 1]).read_text()
         h.update(f"{code}\n{out}".encode())
     return h.hexdigest()
 
@@ -583,3 +624,70 @@ def test_pairs_json_and_csv_pinned(capsys):
     ]
     digest = pinned_digest(capsys, argvs)
     assert digest == "100d2bbcbbcf143f0513fdfc9b5b64d85511a65514d6830e1152be7d80717649"
+
+
+# the pins below were recorded before the commands returned their --json
+# documents as dicts for main to write
+
+FORMS = ([], ["--json"])
+KINDS = ["Clique", "CliqueMinusEdge", "Empty", "EmptyPlusEdge"]
+
+
+def test_witness_text_and_json_pinned(capsys):
+    # every m from one below the range to one above it, a blocked shape,
+    # the single vertex, an edge-list input and a verified order-64 host
+    specs = [
+        ["claw"], ["paw"], ["cycle:4"], ["H:4,2,1"], ["S:2,3"], ["Q:5,1,1,0"],
+        ["--edges", "4;0-1,1-2"], ["diamond"], ["complete:1"],
+    ]
+    argvs = [
+        ["witness", *spec, str(n), str(m), *form]
+        for spec in specs
+        for n in (4, 7)
+        for m in range(-1, n * (n - 1) // 2 + 2)
+        for form in FORMS
+    ]
+    argvs += [["witness", "H:5,2,0", "64", "1500", "--verify", *form] for form in FORMS]
+    digest = pinned_digest(capsys, argvs)
+    assert digest == "f391535ffc3d8dec848f60514edb7318c7b1b81725aa54a46e1fbd984ee6849c"
+
+
+def test_bounds_text_and_json_pinned(capsys):
+    # a bad k exits 7; Clique and Empty at n = 100 list 2450 edge counts
+    argvs = [
+        ["bounds", kind, str(k), str(n), *form]
+        for kind in KINDS
+        for k in (1, 2, 3, 5)
+        for n in (1, 2, 6, 11, 100)
+        for form in FORMS
+    ]
+    digest = pinned_digest(capsys, argvs)
+    assert digest == "d2b9f72b4e59f85a3cd1b1f5d61df647f925388dec5bf519c52432a99b1c11d6"
+
+
+def test_encode_and_decode_text_and_json_pinned(capsys):
+    specs = [
+        "claw", "paw", "diamond", "complete:4", "empty:3", "path:4", "cycle:5", "star:4",
+        "matching:2", "H:4,2,1", "S:2,3", "Q:5,1,1,0", "5;0-1,1-2,2-3,3-4", "4;", "complete:64",
+        "path:63", "no_such_graph_name", "H:3,9,0",
+    ]
+    argvs = [["encode", spec, *form] for spec in specs for form in FORMS]
+    argvs += [["encode", "--edges", "3;0-1,1-2", *form] for form in FORMS]
+    codes = CLASS_CODES + [encode_graph6(complete_graph(64)), "D?", "  D\x01?"]
+    argvs += [["decode", code, *form] for code in codes for form in FORMS]
+    digest = pinned_digest(capsys, argvs)
+    assert digest == "b68f4ca1fef24183eb360ba1371535cb1604c230b1a6777ff86a5c176322756a"
+
+
+def test_out_files_pinned(capsys, tmp_path):
+    out = str(tmp_path / "out")
+    commands = [
+        ["witness", "paw", "8", "20"],
+        ["bounds", "Clique", "3", "100"],
+        ["encode", "H:4,2,1"],
+        ["decode", "G~~~~w"],
+        ["classify", "paw"],
+    ]
+    argvs = [[*command, *form, "--out", out] for command in commands for form in FORMS]
+    digest = pinned_digest(capsys, argvs)
+    assert digest == "b87d86e49fcad97a57bb2700d32c276d47116aa0c9144ceea4a823cc09585180"

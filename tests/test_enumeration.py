@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import itertools
@@ -332,6 +333,19 @@ def test_reps_recomputes_a_slice_whose_fork_fails(monkeypatch):
     mine = split_children(monkeypatch, lambda lists, units: lists)
     assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
     assert mine == unit_runs(7, 2)
+
+
+def test_reps_recomputes_a_slice_whose_pipe_fails(monkeypatch, forks):
+    # out of file descriptors, os.pipe raises before any fork is tried
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    assert enumeration._reps.__wrapped__(7) == enumeration._reps(7)
+    assert forks == []
+    assert_no_helper_left()
 
 
 def test_reps_recomputes_the_slice_of_a_failed_helper(monkeypatch, forks):
