@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .constructions import HParams, QParams, SplitParams, h_graph, q_graph, s_graph
 from .errors import ParseError, byte_offset
-from .graph6 import decode_graph6
+from .graph6 import _decode_typed
 from .graphs import (
     Graph,
     complete_graph,
@@ -98,9 +98,8 @@ def parse_graph(text: str) -> Graph:
     if ";" in text:
         return parse_edge_list(text)
     try:
-        return decode_graph6(text.strip())
+        return _decode_typed(text)
     except ParseError as e:
         raise ParseError(
-            f"{text!r} is not a catalog name, an edge list, or graph6 ({e.message})",
-            byte_offset(text, len(text) - len(text.lstrip())) + e.offset,
+            f"{text!r} is not a catalog name, an edge list, or graph6 ({e.message})", e.offset
         )

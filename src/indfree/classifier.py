@@ -211,7 +211,7 @@ def tnf_infeasible_region(kind: TnfKind, k: int, n: int) -> tuple[range, bool]:
     Raises ParameterError for k < 2, and otherwise RangeError for n < 1.
     """
     if k < 2:
-        raise ParameterError(f"need k >= 2 and n >= 1, got k={k}, n={n}")
+        raise ParameterError(f"need k >= 2, got k={k}")
     if n < 1:
         raise RangeError(f"vertex count must be at least 1, got {n}")
     full = n * (n - 1) // 2

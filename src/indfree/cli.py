@@ -45,9 +45,8 @@ from .errors import (
     ParseError,
     RangeError,
     ValidationError,
-    byte_offset,
 )
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import _decode_typed, encode_graph6
 from .graphs import Graph
 
 _KIND_NAMES = [k.value for k in TnfKind]
@@ -166,11 +165,7 @@ def cmd_encode(args) -> str | dict:
 
 
 def cmd_decode(args) -> str | dict:
-    text = args.graph6
-    try:
-        g = decode_graph6(text.strip())
-    except ParseError as e:
-        raise ParseError(e.message, byte_offset(text, len(text) - len(text.lstrip())) + e.offset)
+    g = _decode_typed(args.graph6)
     if args.json:
         return {"order": g.order, "edge_count": g.edge_count, "edges": [[u, v] for u, v in g.edges()]}
     return f"{g.order};" + ",".join(f"{u}-{v}" for u, v in g.edges())

@@ -157,12 +157,18 @@ def decode_graph6_list(text: str) -> list[Graph]:
     out = []
     start = 0
     for line in text.split("\n"):
-        stripped = line.strip()
-        if stripped:
-            try:
-                out.append(decode_graph6(stripped))
-            except ParseError as e:
-                lead = len(line) - len(line.lstrip())
-                raise ParseError(e.message, byte_offset(text, start + lead) + e.offset)
+        if line.strip():
+            out.append(_decode_typed(text, start, start + len(line)))
         start += len(line) + 1
     return out
+
+
+def _decode_typed(text: str, start: int = 0, end: int | None = None) -> Graph:
+    """decode_graph6 of text[start:end] with its blanks stripped, its
+    ParseError offsets counting the UTF-8 bytes of text as typed."""
+    part = text[start:end]
+    try:
+        return decode_graph6(part.strip())
+    except ParseError as e:
+        lead = len(part) - len(part.lstrip())
+        raise ParseError(e.message, byte_offset(text, start + lead) + e.offset)

@@ -172,24 +172,24 @@ def empty_graph(k: int) -> Graph:
 
 def path_graph(k: int) -> Graph:
     """Path on k vertices (k - 1 edges)."""
-    return make_graph(k, [(i, i + 1) for i in range(k - 1)])
+    return make_graph(k, ((i, i + 1) for i in range(k - 1)))
 
 
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise ValidationError(f"cycle needs at least 3 vertices, got {k}")
-    return make_graph(k, [(i, (i + 1) % k) for i in range(k)])
+    return make_graph(k, ((i, (i + 1) % k) for i in range(k)))
 
 
 def star_graph(leaves: int) -> Graph:
     """Star with the given number of leaves: vertex 0 is the center."""
     if leaves < 0:
         raise ValidationError(f"star needs a non-negative number of leaves, got {leaves}")
-    return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return make_graph(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
 def matching_graph(k: int) -> Graph:
     """k disjoint edges on exactly 2k vertices."""
     if k < 0:
         raise ValidationError(f"matching needs a non-negative number of edges, got {k}")
-    return make_graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    return make_graph(2 * k, ((2 * i, 2 * i + 1) for i in range(k)))

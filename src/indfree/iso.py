@@ -42,9 +42,8 @@ twin vertices and whole twin classes that a host automorphism
 exchanges. The H- and Q-shaped hosts the constructions build, and their
 complements, are cographs made of a few such classes, so on them one
 failed candidate rules out a whole group of exchangeable classes at a
-slot. No bound is proved: the README gives measured verify times on
-these hosts. The search stays exponential in the worst case, for
-example on large regular hosts with no twins.
+slot. No bound is proved, and the search stays exponential in the worst
+case, for example on large regular hosts with no twins.
 """
 
 from __future__ import annotations
@@ -354,8 +353,14 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     exchangeable, and without the third pruning a miss tried the pattern
     on each of them in turn, at every slot.
 
-    All three cut only subtrees without a solution, so the returned
-    embedding is the first one in the unpruned search order.
+    The last two are one rule, as in _least_code: skip[v], built once
+    per call, is v's twin class and its partners, and a failed candidate
+    v takes skip[v] out of its slot. All three cut only subtrees without
+    a solution, so the returned embedding is the first one in the
+    unpruned search order. The README's verify times come from patterns
+    on 2 to 5 vertices only. Larger ones can be slow, as the pattern's
+    own twins are not skipped: H(20,3,5)'s witness for (64, 1016) takes
+    129,048 nodes.
     """
     np_, nh = pattern.order, host.order
     if np_ > nh:
@@ -367,8 +372,12 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     edge = [[prows[pv] >> pu & 1 for pu in porder] for pv in porder]
     # dom[i][k]: candidates for slot k once slots 0..i-1 are placed
     dom = [[(1 << nh) - 1] * np_ for _ in range(np_)]
+    hrows = host.rows
+    twins = _twin_masks(hrows)
+    partners = _partner_blocks(hrows, twins)
+    skip = [t | partners.get(t, 0) for t in twins]
     assign = [0] * np_
-    if not _extend(0, dom, edge, host.rows, [], {}, assign):
+    if not _extend(0, dom, edge, hrows, skip, assign):
         return None
     out = [0] * np_
     for i, pv in enumerate(porder):
@@ -381,19 +390,10 @@ def _extend(
     dom: list[list[int]],
     edge: list[list[int]],
     hrows: tuple[int, ...],
-    twins: list[int],
-    partners: dict[int, int],
+    skip: list[int],
     assign: list[int],
 ) -> bool:
-    """Fill slots i.. of assign from the candidate sets dom[i]; True on success.
-
-    twins starts empty and gets the host's twin masks at the first failed
-    candidate: a search that never backtracks does not pay for them.
-    partners starts empty too and gets _partner_blocks the first time one
-    slot, with candidates left, has seen two failed blocks of the same
-    size, the least a swap of whole blocks needs to cut anything.
-    Building it at the first failure made small hosts slower.
-    """
+    """Fill slots i.. of assign from the candidate sets dom[i]; True on success."""
     n = len(assign)
     cur = dom[i]
     cand = cur[i]
@@ -403,7 +403,6 @@ def _extend(
         return True
     nxt = dom[i + 1]
     adj = edge[i]
-    sizes = 0
     while cand:
         lsb = cand & -cand
         hv = lsb.bit_length() - 1
@@ -416,18 +415,7 @@ def _extend(
             nxt[k] = m
         else:
             assign[i] = hv
-            if _extend(i + 1, dom, edge, hrows, twins, partners, assign):
+            if _extend(i + 1, dom, edge, hrows, skip, assign):
                 return True
-        if not twins:
-            twins += _twin_masks(hrows)
-        block = twins[hv]
-        cand &= ~block
-        if partners:
-            cand &= ~partners.get(block, 0)
-        elif cand and block & (block - 1):
-            size = 1 << block.bit_count()
-            if sizes & size:
-                partners.update(_partner_blocks(hrows, twins))
-                cand &= ~partners[block]
-            sizes |= size
+        cand &= ~skip[hv]
     return False

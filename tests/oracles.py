@@ -29,7 +29,10 @@ automorphism generators, where the library reads half the children's
 forms off the complement class's. The one-path reference is the
 library's earlier test for skipping the ordering search: it builds the
 whole twin table and asks whether every cell lies among its first
-vertex's twins, where the library compares rows cell by cell.
+vertex's twins, where the library compares rows cell by cell. The
+first-embedding reference is the embedding search with its forward
+checking and its twin and block skips taken out, which pins which
+embedding the library returns, not only whether one exists.
 """
 
 from __future__ import annotations
@@ -235,6 +238,41 @@ def brute_contains_induced(host: Graph, pattern: Graph) -> bool:
         if brute_is_isomorphic(Graph(pattern.order, tuple(sub_rows)), pattern):
             return True
     return False
+
+
+def reference_first_embedding(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
+    """The first induced copy of pattern in host by plain backtracking,
+    as a map from pattern vertices to host vertices, or None.
+
+    Slots come in contains_induced's order, pattern vertices by
+    descending degree with ties in label order, and each slot tries the
+    host vertices in increasing label, keeping one that is unused and
+    agrees on adjacency with every vertex placed before it. Nothing is
+    pruned and no later slot is looked at ahead of time.
+    """
+    order = sorted(range(pattern.order), key=lambda v: -pattern.rows[v].bit_count())
+    placed: list[int] = []
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        row = pattern.rows[order[i]]
+        for hv in range(host.order):
+            if hv not in placed and all(
+                row >> order[j] & 1 == host.rows[hv] >> w & 1 for j, w in enumerate(placed)
+            ):
+                placed.append(hv)
+                if extend(i + 1):
+                    return True
+                placed.pop()
+        return False
+
+    if not extend(0):
+        return None
+    out = [0] * pattern.order
+    for pv, hv in zip(order, placed):
+        out[pv] = hv
+    return tuple(out)
 
 
 def reference_feasible_pairs(family: FamilySpec, n: int) -> PairTable:

@@ -216,6 +216,19 @@ def test_witness_checks_the_cap_before_building():
     assert proc.stderr == "error: order 2000000000 exceeds the cap of 64 vertices\n"
 
 
+@pytest.mark.parametrize(
+    "family, order",
+    [("path", 10**12), ("cycle", 10**12), ("star", 10**12 + 1), ("matching", 2 * 10**12)],
+)
+def test_classify_checks_the_family_cap_before_building(family, order):
+    # these families once listed their edges before the cap was checked,
+    # so under an address-space limit path:30000000 ended in a
+    # MemoryError traceback, exit 1
+    proc = under_a_memory_limit("classify", f"{family}:{10**12}")
+    assert proc.returncode == 4
+    assert proc.stderr == f"error: order {order} exceeds the cap of 64 vertices\n"
+
+
 def test_witness_out_file(capsys, tmp_path):
     target = tmp_path / "wit.json"
     code, out, _ = run(
@@ -360,20 +373,24 @@ def test_bounds_human_at_large_n(capsys):
     assert "known infeasible m: [100000001, 199990000]" in out
 
 
-def bounds_json_under_a_memory_limit(n, out):
+def under_a_memory_limit(*argv):
     # a process past its address-space limit fails here instead of
     # exhausting the machine's memory
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
 
     return subprocess.run(
-        [sys.executable, "-m", "indfree", "bounds", "Clique", "3", str(n), "--json", "--out", str(out)],
+        [sys.executable, "-m", "indfree", *argv],
         capture_output=True,
         text=True,
         env=CHILD_ENV,
         preexec_fn=limit,
         timeout=60,
     )
+
+
+def bounds_json_under_a_memory_limit(n, out):
+    return under_a_memory_limit("bounds", "Clique", "3", str(n), "--json", "--out", str(out))
 
 
 def test_bounds_json_caps_the_listed_region(tmp_path):
@@ -409,7 +426,7 @@ def test_bounds_parameter_exit(capsys):
         ("3", "0", 3, "vertex count must be at least 1, got 0"),
         ("3", "-1", 3, "vertex count must be at least 1, got -1"),
         # a bad k is reported first
-        ("1", "0", 7, "need k >= 2 and n >= 1, got k=1, n=0"),
+        ("1", "0", 7, "need k >= 2, got k=1"),
     ],
     ids=["n=0", "n=-1", "k=1"],
 )

@@ -19,8 +19,10 @@ from indfree import (
     induced_subgraph,
     is_isomorphic,
     make_graph,
+    parse_graph,
     path_graph,
     star_graph,
+    witness,
 )
 from indfree import iso
 from indfree.iso import _aut_generators, _search
@@ -101,6 +103,28 @@ def test_least_code_nodes_on_relabelled_clique_unions(monkeypatch, copies, k, se
     form = canonical_form(induced_subgraph(g, perm))
     assert len(nodes) <= 2000
     assert form == canonical_form(g)
+
+
+@pytest.mark.parametrize(
+    "spec, n, m, most",
+    [
+        ("H:6,2,1", 64, 1920, 15),
+        ("H:5,2,0", 64, 1512, 4),
+        ("paw", 64, 1500, 7),
+        ("H:20,3,5", 64, 1016, 129048),
+    ],
+)
+def test_extend_nodes_on_witness_hosts(monkeypatch, spec, n, m, most):
+    # the embedding search's nodes when witness re-checks its host, as
+    # counted when the twin and partner masks were built on first need;
+    # skip masks built before the search prune at least as much.
+    # H:20,3,5's clique vertices outside the star are twins in the
+    # pattern, and the search appears to try them in every order
+    nodes = []
+    walk = iso._extend
+    monkeypatch.setattr(iso, "_extend", lambda *a: nodes.append(1) or walk(*a))
+    witness(parse_graph(spec), n, m, verify=True)
+    assert len(nodes) <= most
 
 
 def test_canonical_idempotent():

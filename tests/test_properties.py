@@ -47,6 +47,7 @@ from oracles import (
     reference_automorphisms,
     reference_canonical_form,
     reference_feasible_pairs,
+    reference_first_embedding,
     reference_induced_subgraph,
     reference_one_path,
     reference_recognize_h,
@@ -262,6 +263,19 @@ def test_contains_induced_on_block_hosts_matches_brute_force(host, pattern):
         assert len(set(emb.map)) == pattern.order
         for i, j in combinations(range(pattern.order), 2):
             assert pattern.has_edge(i, j) == host.has_edge(emb.map[i], emb.map[j])
+
+
+@given(
+    st.one_of(graphs(), twin_blowups(), block_blowups(max_order=12)),
+    graphs(max_order=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_contains_induced_returns_the_first_embedding(host, pattern):
+    # the forward checking and the twin and block skips cut only
+    # subtrees without a solution, so the search returns the embedding
+    # plain backtracking finds first
+    emb = contains_induced(host, pattern)
+    assert (None if emb is None else emb.map) == reference_first_embedding(host, pattern)
 
 
 @given(st.one_of(twin_blowups(), block_blowups(max_order=10)))
