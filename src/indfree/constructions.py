@@ -16,6 +16,7 @@ All builders are deterministic: equal inputs give bit-identical graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import ParameterError, RangeError
 from .graphs import (
@@ -138,11 +139,9 @@ def q_graph(params: QParams) -> Graph:
 
 
 def _min_clique_order(m: int) -> int:
-    # least p with C(p,2) >= m
-    p = 0
-    while p * (p - 1) // 2 < m:
-        p += 1
-    return p
+    # least p with C(p,2) >= m: for m >= 1 that is one more than the
+    # greatest q with q(q-1) <= 2m - 2, that is (2q-1)^2 <= 8m - 7
+    return (isqrt(8 * m - 7) + 3) // 2 if m else 0
 
 
 def _check_pair(n: int, m: int) -> None:
@@ -150,7 +149,6 @@ def _check_pair(n: int, m: int) -> None:
         raise RangeError(f"vertex count must be non-negative, got {n}")
     if not 0 <= m <= n * (n - 1) // 2:
         raise RangeError(f"edge count {m} out of range [0, C({n},2)={n*(n-1)//2}]")
-    # before any construction: _min_clique_order counts up to p
     _check_order(n)
 
 

@@ -18,8 +18,9 @@ a list indexed by degree. If every cell is one vertex or a set of
 twins, the search takes one path, with no code compared. It decides
 that cell by cell from the rows, comparing each member's row with the
 cell's first vertex's outside the cell, and builds the twin table
-(_twin_masks) only for the walk. The walk computes every candidate's
-code at a node before it recurses, and recurses only into the least.
+(_twin_masks) only for the walk. At a node the walk narrows the slot's
+candidates to those with the least code, one AND per placed vertex,
+and recurses only into them.
 _aut_generators(rows, leaves) reads generators of Aut(g) off the
 orderings that tie in g's search, handed over so that no search runs
 twice, and the twin swaps the search skips; the skips hide some tied
@@ -31,15 +32,20 @@ not only on enumerated graphs of at most 8. Cycles have one cell and no
 twins; the README times C14 under fixed relabellings. Recursing only
 into the least codes cuts the subtrees of candidates that lose at their
 own slot, which on unions of cliques such as 4K4 are nearly all of
-them. On a cycle every vertex ties at the first slot: on C14 as
-cycle_graph labels it, the walk takes 81,723 nodes in 14 subtrees that
-are images of each other under the rotations. Skipping those images
-would need the automorphisms found at tied leaves (McKay & Piperno);
-the ways out that change outputs wait on a decision (ROADMAP item 7).
+them. A node costs one AND per placed vertex, not one bit per placed
+vertex and candidate, but the node count is what grows. On a cycle
+every vertex ties at the first slot: on C14 as cycle_graph labels it,
+the walk takes 81,723 nodes in 14 subtrees that are images of each
+other under the rotations. Skipping those images would need the
+automorphisms found at tied leaves (McKay & Piperno); the ways out
+that change outputs wait on a decision (ROADMAP item 7).
 
-contains_induced runs on witness hosts of up to 64 vertices. It skips
-twin vertices and whole twin classes that a host automorphism
-exchanges. The H- and Q-shaped hosts the constructions build, and their
+contains_induced runs on witness hosts of up to 64 vertices. It starts
+each slot from the host vertices whose degree leaves room for the
+pattern vertex's neighbours and non-neighbours, and stops at once when
+one has none; an index over the vertices left lets it skip twin
+vertices and whole twin classes that a host automorphism exchanges.
+The H- and Q-shaped hosts the constructions build, and their
 complements, are cographs made of a few such classes, so on them one
 failed candidate rules out a whole group of exchangeable classes at a
 slot. No bound is proved, and the search stays exponential in the worst
@@ -49,6 +55,8 @@ case, for example on large regular hosts with no twins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .graphs import Graph, _relabel
 
@@ -122,52 +130,33 @@ def _cells(rows) -> list[int]:
 
 
 def _twin_masks(rows: tuple[int, ...]) -> list[int]:
-    """For each vertex, the mask of its twins, itself included.
+    """For each vertex, the mask of its twins, itself included."""
+    cls = _twin_classes(rows, (1 << len(rows)) - 1)
+    return [cls[r] | cls[r | 1 << v] for v, r in enumerate(rows)]
+
+
+def _twin_classes(rows: tuple[int, ...], live: int) -> dict[int, int]:
+    """Each live vertex's open row and closed row, mapped to its twins
+    in live, itself included.
 
     Vertices u and v are twins when their open neighborhoods are equal
     (rows[u] == rows[v]) or their closed ones are. Swapping two twins is
     an automorphism fixing every other vertex, so when a search has tried
     u at a slot and found nothing, v at that slot finds nothing either.
     One dict holds both kinds of key: an open row never equals a closed
-    one, since N(u) = N[w] would put u in its own neighborhood.
+    one, since N(u) = N[w] would put u in its own neighborhood. So v's
+    twins are cls[rows[v]] | cls[rows[v] | 1 << v].
     """
     cls: dict[int, int] = {}
     get = cls.get
-    for v, r in enumerate(rows):
-        bit = 1 << v
-        cls[r] = get(r, 0) | bit
-        r |= bit
-        cls[r] = get(r, 0) | bit
-    return [cls[r] | cls[r | 1 << v] for v, r in enumerate(rows)]
-
-
-def _partner_blocks(rows: tuple[int, ...], twins: list[int]) -> dict[int, int]:
-    """Map each block of two or more vertices to its partners' union.
-
-    Call the twin classes blocks. A block is a module, and either a
-    clique or an independent set. Two blocks A and B of the same size and
-    kind with the same neighbours outside A | B are open or closed twins
-    in the quotient graph by blocks, so exchanging them, fixing every
-    other vertex, is an automorphism. The keys are _twin_masks' one level
-    up: a block's row outside itself (open) or that row plus the block
-    (closed), tagged with size and kind; an open key never equals a
-    closed one, for the same reason as there. Blocks sharing a key are
-    partners; the union is 0 for a block without any. A single vertex
-    has no partner, since a partner would be its twin.
-    """
-    cls: dict[int, int] = {}
-    get = cls.get
-    keys: dict[int, int] = {}
-    for b in set(twins):
-        if b & (b - 1):
-            row = rows[(b & -b).bit_length() - 1]
-            # size (at most 64) and kind fill the low 8 bits
-            key = (row & ~b) << 8 | b.bit_count() << 1 | (row & b != 0)
-            keys[b] = key
-            cls[key] = get(key, 0) | b
-            key |= b << 8
-            cls[key] = get(key, 0) | b
-    return {b: (cls[key] | cls[key | b << 8]) & ~b for b, key in keys.items()}
+    while live:
+        lsb = live & -live
+        live ^= lsb
+        r = rows[lsb.bit_length() - 1]
+        cls[r] = get(r, 0) | lsb
+        r |= lsb
+        cls[r] = get(r, 0) | lsb
+    return cls
 
 
 _INF = 1 << 70
@@ -279,38 +268,40 @@ def _least_code(
     """Lower best[i:] to the least codes reachable from the placed prefix.
 
     An ordering's code at a slot is its vertex's adjacency bits toward
-    the earlier ones. A node computes the code of each candidate first,
-    skipping twins[v] once v is taken, and recurses, in label order,
-    only into those with its least code, and only if that is at most
-    best[i]: every prefix extends to a full ordering, so a larger code
-    at the same prefix is never least. A leaf reached ties best
-    everywhere and goes to leaves, which a drop of best clears.
+    the earlier ones. A node narrows the slot's candidates once per
+    placed vertex u, in placement order: if some candidate is not
+    adjacent to u, the least code has a 0 there and only those stay,
+    else it has a 1 and all stay. What is left is exactly the candidates
+    with the least code. If that code is above best[i] the node returns:
+    every prefix extends to a full ordering, so a larger code at the
+    same prefix is never least. Otherwise it recurses into them in label
+    order, skipping twins[v] once v is taken (twins share every code). A
+    leaf reached ties best everywhere and goes to leaves, which a drop
+    of best clears.
     """
     n = len(best)
     if i == n:
         leaves.append(tuple(placed))
         return
     cand = slots[i] & ~used
-    least = best[i]
-    ties: list[int] = []
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        cand &= ~twins[v]
-        ro = rows[v]
-        code = 0
-        for u in placed:
-            code = code << 1 | (ro >> u & 1)
-        if code < least:
-            least = code
-            ties = [v]
-        elif code == least:
-            ties.append(v)
-    if least < best[i]:
-        best[i] = least
+    code = 0
+    for u in placed:
+        out = cand & ~rows[u]
+        if out:
+            cand = out
+            code <<= 1
+        else:
+            code = code << 1 | 1
+    if code > best[i]:
+        return
+    if code < best[i]:
+        best[i] = code
         for j in range(i + 1, n):
             best[j] = _INF
         leaves.clear()
-    for v in ties:
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand &= ~twins[v]
         placed.append(v)
         _least_code(i + 1, used | 1 << v, slots, rows, twins, best, placed, leaves)
         placed.pop()
@@ -328,12 +319,17 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     """Find an induced copy of pattern in host, or report there is none.
 
     Backtracking over pattern vertices in descending degree order, trying
-    host candidates in increasing label order. Every later slot keeps its
-    candidate set as a bitmask. Placing a vertex narrows each later set
-    with one AND: against the placed vertex's neighborhood when the
-    pattern demands an edge, against its non-neighborhood otherwise
-    (induced means non-edges constrain too), and the placed vertex drops
-    out. Three prunings keep misses on large hosts cheap:
+    host candidates in increasing label order. Every slot keeps its
+    candidate set as a bitmask. The first sets come from the degrees
+    alone (the first step of Ullmann, J. ACM 23(1), 1976): a host vertex
+    can carry pattern vertex k only if it has at least as many
+    neighbours and at least as many non-neighbours as k. If a set is
+    empty the call returns None at once, with no index built. Placing a
+    vertex narrows each later set with one AND: against the placed
+    vertex's neighborhood when the pattern demands an edge, against its
+    non-neighborhood otherwise (induced means non-edges constrain too),
+    and the placed vertex drops out. Three prunings keep misses on large
+    hosts cheap:
 
     * forward checking: a placement that empties a later set is undone
       at once, instead of when the search reaches that slot;
@@ -342,7 +338,7 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
       automorphism fixing every placed vertex;
     * block-swap pruning: when a candidate fails, so does every vertex
       of the twin classes (blocks) that can be exchanged whole with its
-      own (see _partner_blocks). If neither block holds a placed vertex,
+      own (see _skip_index). If neither block holds a placed vertex,
       the exchange fixes every placed vertex. If one does, it is joined
       to its own block as that block's kind says and to the other block
       the opposite way (else the two would be one block), so forward
@@ -353,14 +349,16 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     exchangeable, and without the third pruning a miss tried the pattern
     on each of them in turn, at every slot.
 
-    The last two are one rule, as in _least_code: skip[v], built once
-    per call, is v's twin class and its partners, and a failed candidate
-    v takes skip[v] out of its slot. All three cut only subtrees without
-    a solution, so the returned embedding is the first one in the
-    unpruned search order. The README's verify times come from patterns
-    on 2 to 5 vertices only. Larger ones can be slow, as the pattern's
-    own twins are not skipped: H(20,3,5)'s witness for (64, 1016) takes
-    129,048 nodes.
+    The last two are one rule, as in _least_code: _skip_index, built
+    once per call over the live vertices (those in some first set),
+    gives each one's twin class and that class's partners, and a failed
+    candidate takes them out of its slot. Twins and partner blocks share
+    a degree, so they are live together. All three prunings and the
+    degree sets cut only subtrees without a solution, so the returned
+    embedding is the first one in the unpruned search order. The
+    README's verify times come from patterns on 2 to 5 vertices only.
+    Larger ones can be slow, as the pattern's own twins are not skipped:
+    H(20,3,5)'s witness for (64, 1016) takes 129,048 nodes.
     """
     np_, nh = pattern.order, host.order
     if np_ > nh:
@@ -368,14 +366,21 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     if np_ == 0:
         return Embedding(())
     prows = pattern.rows
-    porder = sorted(range(np_), key=lambda v: -prows[v].bit_count())
+    pdeg = [r.bit_count() for r in prows]
+    porder = sorted(range(np_), key=pdeg.__getitem__, reverse=True)
+    hrows = host.rows
+    by = [0] * nh
+    for v, r in enumerate(hrows):
+        by[r.bit_count()] |= 1 << v
+    # at least d neighbours and np_ - 1 - d non-neighbours: degree d to d + span - 1
+    span = nh - np_ + 1
+    first = [reduce(or_, by[pdeg[pv] : pdeg[pv] + span]) for pv in porder]
+    if not all(first):
+        return None
     edge = [[prows[pv] >> pu & 1 for pu in porder] for pv in porder]
     # dom[i][k]: candidates for slot k once slots 0..i-1 are placed
-    dom = [[(1 << nh) - 1] * np_ for _ in range(np_)]
-    hrows = host.rows
-    twins = _twin_masks(hrows)
-    partners = _partner_blocks(hrows, twins)
-    skip = [t | partners.get(t, 0) for t in twins]
+    dom = [first] + [[0] * np_ for _ in range(np_ - 1)]
+    skip = _skip_index(hrows, reduce(or_, first))
     assign = [0] * np_
     if not _extend(0, dom, edge, hrows, skip, assign):
         return None
@@ -385,12 +390,45 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     return Embedding(tuple(out))
 
 
+def _skip_index(rows: tuple[int, ...], live: int) -> dict[int, int]:
+    """What a failed candidate v rules out at its slot, keyed by row:
+    skip[rows[v]] | skip[rows[v] | 1 << v] for v in live.
+
+    Starts from _twin_classes. Call the twin classes of two or more
+    vertices blocks. A block is a module, and either an independent set,
+    whose members share their open row, or a clique, whose members share
+    their closed row, so it has one key r here. Two blocks A and B of
+    the same size and kind with the same neighbours outside A | B can be
+    exchanged whole, fixing every other vertex, and a block's entry also
+    holds these partners. Independent partners are joined to each other
+    and cliques are not, else A | B would be one block. So r ^ A, tagged
+    with size and kind, is the same for A and its partners: the outside
+    plus A | B for independent blocks, the outside alone for cliques.
+    Conversely, blocks of one size and kind sharing it meet the outside
+    alike and are joined (independent) or apart (cliques), so they are
+    partners. A single vertex has no partner, since a partner would be
+    its twin. live must be a union of degree classes, which holds every
+    twin and partner of its members.
+    """
+    skip = _twin_classes(rows, live)
+    blocks = [(r, b) for r, b in skip.items() if b & (b - 1)]
+    if len(blocks) > 1:
+        # size (at most 64) and kind fill the low 8 bits
+        keyed = [((r ^ b) << 8 | b.bit_count() << 1 | (r & b != 0), r, b) for r, b in blocks]
+        cls: dict[int, int] = {}
+        for key, _, b in keyed:
+            cls[key] = cls.get(key, 0) | b
+        for key, r, _ in keyed:
+            skip[r] |= cls[key]
+    return skip
+
+
 def _extend(
     i: int,
     dom: list[list[int]],
     edge: list[list[int]],
     hrows: tuple[int, ...],
-    skip: list[int],
+    skip: dict[int, int],
     assign: list[int],
 ) -> bool:
     """Fill slots i.. of assign from the candidate sets dom[i]; True on success."""
@@ -407,7 +445,8 @@ def _extend(
         lsb = cand & -cand
         hv = lsb.bit_length() - 1
         row = hrows[hv]
-        non = ~(row | lsb)
+        closed = row | lsb
+        non = ~closed
         for k in range(i + 1, n):
             m = cur[k] & (row if adj[k] else non)
             if not m:
@@ -417,5 +456,5 @@ def _extend(
             assign[i] = hv
             if _extend(i + 1, dom, edge, hrows, skip, assign):
                 return True
-        cand &= ~skip[hv]
+        cand &= ~(skip[row] | skip[closed])
     return False

@@ -32,7 +32,10 @@ whole twin table and asks whether every cell lies among its first
 vertex's twins, where the library compares rows cell by cell. The
 first-embedding reference is the embedding search with its forward
 checking and its twin and block skips taken out, which pins which
-embedding the library returns, not only whether one exists.
+embedding the library returns, not only whether one exists. The
+least-code reference is the library's earlier ordering walk, which
+computes every candidate's code bit by bit over the placed vertices,
+where the library narrows the candidate mask once per placed vertex.
 """
 
 from __future__ import annotations
@@ -132,6 +135,50 @@ def _least_code_from(
                 best[j] = 1 << 70
         placed.append(v)
         _least_code_from(i + 1, used | lsb, slots, rows, best, placed)
+        placed.pop()
+
+
+def reference_least_code(
+    i: int,
+    used: int,
+    slots: list[int],
+    rows,
+    twins: list[int],
+    best: list[int],
+    placed: list[int],
+    leaves: list[tuple[int, ...]],
+) -> None:
+    """The library's earlier _least_code, with the same arguments: each
+    node computes every candidate's code first, skipping twins[v] once v
+    is taken, and recurses, in label order, only into those with its
+    least code, and only if that is at most best[i]."""
+    n = len(best)
+    if i == n:
+        leaves.append(tuple(placed))
+        return
+    cand = slots[i] & ~used
+    least = best[i]
+    ties: list[int] = []
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand &= ~twins[v]
+        ro = rows[v]
+        code = 0
+        for u in placed:
+            code = code << 1 | (ro >> u & 1)
+        if code < least:
+            least = code
+            ties = [v]
+        elif code == least:
+            ties.append(v)
+    if least < best[i]:
+        best[i] = least
+        for j in range(i + 1, n):
+            best[j] = 1 << 70
+        leaves.clear()
+    for v in ties:
+        placed.append(v)
+        reference_least_code(i + 1, used | 1 << v, slots, rows, twins, best, placed, leaves)
         placed.pop()
 
 

@@ -32,6 +32,7 @@ from indfree import (
     uep_witness,
     witness,
 )
+from indfree.constructions import _min_clique_order
 from oracles import reference_h_graph, reference_q_graph, reference_s_graph
 
 
@@ -187,8 +188,17 @@ def test_uep_range_error():
         uep_witness(-1, 0)
 
 
+def test_min_clique_order_matches_counting():
+    # the least p with C(p,2) >= m, counted up one p at a time
+    p = 0
+    for m in range(64 * 63 // 2 + 1):
+        while p * (p - 1) // 2 < m:
+            p += 1
+        assert _min_clique_order(m) == p, m
+
+
 def test_uep_checks_the_cap_before_building(monkeypatch):
-    # a late check would first count the clique order up to 1.4e9
+    # a late check would first build a clique of order 1.4e9
     def refuse(m):
         raise AssertionError("_min_clique_order called")
 

@@ -19,6 +19,7 @@ from indfree import (
     induced_subgraph,
     is_isomorphic,
     make_graph,
+    matching_graph,
     parse_graph,
     path_graph,
     star_graph,
@@ -105,6 +106,24 @@ def test_least_code_nodes_on_relabelled_clique_unions(monkeypatch, copies, k, se
     assert form == canonical_form(g)
 
 
+@pytest.mark.parametrize("n, built, relabelled", [(12, 9925, 9958), (14, 81723, 82202)])
+def test_least_code_nodes_on_cycles(monkeypatch, n, built, relabelled):
+    # a cycle is one cell with no twins, and every vertex ties at the
+    # first slot; the walk's nodes as cycle_graph labels it and under
+    # the relabelling random.Random(1) shuffles, counted when each node
+    # computed every candidate's code
+    g = cycle_graph(n)
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    walk = iso._least_code
+    for h, most in ((g, built), (induced_subgraph(g, perm), relabelled)):
+        nodes = []
+        monkeypatch.setattr(iso, "_least_code", lambda *a: nodes.append(1) or walk(*a))
+        form = canonical_form(h)
+        assert len(nodes) <= most
+        assert form == canonical_form(g)
+
+
 @pytest.mark.parametrize(
     "spec, n, m, most",
     [
@@ -117,7 +136,9 @@ def test_least_code_nodes_on_relabelled_clique_unions(monkeypatch, copies, k, se
 def test_extend_nodes_on_witness_hosts(monkeypatch, spec, n, m, most):
     # the embedding search's nodes when witness re-checks its host, as
     # counted when the twin and partner masks were built on first need;
-    # skip masks built before the search prune at least as much.
+    # skip masks built before the search prune at least as much, and
+    # first candidate sets cut by degree can only cut more (H:6,2,1
+    # takes 5 with them).
     # H:20,3,5's clique vertices outside the star are twins in the
     # pattern, and the search appears to try them in every order
     nodes = []
@@ -125,6 +146,21 @@ def test_extend_nodes_on_witness_hosts(monkeypatch, spec, n, m, most):
     monkeypatch.setattr(iso, "_extend", lambda *a: nodes.append(1) or walk(*a))
     witness(parse_graph(spec), n, m, verify=True)
     assert len(nodes) <= most
+
+
+def test_contains_induced_degree_miss_builds_no_index(monkeypatch, claw):
+    # a leaf of the claw needs two non-neighbours, which K10's vertices
+    # lack and K10 minus a perfect matching's have one short of; its
+    # centre needs three neighbours, one more than C10's have. Each call
+    # ends before the skip index is built
+    calls = []
+    build = iso._skip_index
+    monkeypatch.setattr(iso, "_skip_index", lambda *a: calls.append(1) or build(*a))
+    for host in (complete_graph(10), complement(matching_graph(5)), cycle_graph(10)):
+        assert contains_induced(host, claw) is None
+    assert calls == []
+    assert contains_induced(complete_graph(10), complete_graph(3)) is not None
+    assert calls == [1]
 
 
 def test_canonical_idempotent():

@@ -13,6 +13,7 @@ from indfree import (
     canonical_form,
     complement,
     contains_induced,
+    cycle_graph,
     decode_graph6,
     encode_graph6,
     feasible_pairs,
@@ -36,8 +37,8 @@ from indfree.iso import (
     _aut_generators,
     _cells,
     _least_code,
-    _partner_blocks,
     _search,
+    _skip_index,
     _twin_masks,
 )
 from oracles import (
@@ -49,6 +50,7 @@ from oracles import (
     reference_feasible_pairs,
     reference_first_embedding,
     reference_induced_subgraph,
+    reference_least_code,
     reference_one_path,
     reference_recognize_h,
     reference_wl_colors,
@@ -317,6 +319,25 @@ def test_search_answers_as_the_full_walk_does(g):
     assert _search(g.rows) == leaves
 
 
+@st.composite
+def relabelled_cycles(draw, min_order=3, max_order=12):
+    n = draw(st.integers(min_order, max_order))
+    return apply_perm(cycle_graph(n), tuple(draw(st.permutations(range(n)))))
+
+
+@given(st.one_of(graphs(), twin_blowups(), block_blowups(max_order=12), relabelled_cycles()))
+@settings(deadline=None)
+def test_search_returns_the_reference_walks_leaves(g):
+    # the walk narrows each slot's candidates once per placed vertex
+    # instead of computing every candidate's code; it must reach the
+    # same leaves in the same order, since _aut_generators reads them
+    cells, twins = _cells(g.rows), _twin_masks(g.rows)
+    slots = [c for c in cells for _ in range(c.bit_count())]
+    leaves = []
+    reference_least_code(0, 0, slots, g.rows, twins, [_INF] * g.order, [], leaves)
+    assert _search(g.rows) == leaves
+
+
 @given(st.one_of(graphs(), twin_blowups(), block_blowups()))
 @settings(max_examples=300, deadline=None)
 def test_search_takes_one_path_exactly_where_the_twin_table_says(g):
@@ -344,11 +365,16 @@ def members(mask):
 
 @given(block_blowups())
 def test_partner_blocks_swap_is_automorphism(g):
+    # the skip index over every vertex: v's twin class and the blocks
+    # partnered with it, read off its open and closed rows
     twins = _twin_masks(g.rows)
-    partners = _partner_blocks(g.rows, twins)
+    skip = _skip_index(g.rows, (1 << g.order) - 1)
     for v in range(g.order):
+        row = g.rows[v]
+        found = skip[row] | skip[row | 1 << v]
+        assert found & twins[v] == twins[v]
         own = members(twins[v])
-        for w in members(partners.get(twins[v], 0)):
+        for w in members(found & ~twins[v]):
             other = members(twins[w])
             assert len(other) == len(own) and not set(other) & set(own)
             # exchange the two blocks vertex by vertex, fixing the rest
