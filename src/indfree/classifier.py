@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .constructions import HParams, _check_pair, k3k2_witness, uep_witness
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     RangeError,
 )
 from .graphs import Graph, complement
-from .iso import contains_induced
+from .iso import _PATTERN_CACHE, contains_induced
 
 
 class TnfKind(Enum):
@@ -118,6 +119,7 @@ def recognize_h(g: Graph) -> HParams | None:
     return HParams(p, q, r)
 
 
+@lru_cache(maxsize=_PATTERN_CACHE)
 def classify(g: Graph) -> ForbiddenClass:
     """The one classification pass: TNF, else H-graph, else general.
 
@@ -125,6 +127,12 @@ def classify(g: Graph) -> ForbiddenClass:
     not TNF (the TNF shapes start at k = 2), so it classifies as
     feasible by convention; witness still rejects it as degenerate,
     since every graph on one or more vertices contains it.
+
+    The result depends on g alone, so it is cached per graph: a sweep
+    classifies the same few patterns thousands of times. Equal graphs
+    share one entry, so g's rows must be a tuple, as every Graph the
+    package builds has; a Graph made by hand with a list of rows cannot
+    be hashed. Errors are not cached and are raised on every call.
     """
     if g.order < 1:
         raise ParameterError("classification needs at least one vertex")

@@ -40,12 +40,15 @@ other under the rotations. Skipping those images would need the
 automorphisms found at tied leaves (McKay & Piperno); the ways out
 that change outputs wait on a decision (ROADMAP item 7).
 
-contains_induced runs on witness hosts of up to 64 vertices. It starts
-each slot from the host vertices whose degree leaves room for the
-pattern vertex's neighbours and non-neighbours, and stops at once when
-one has none; an index over the vertices left lets it skip twin
-vertices and whole twin classes that a host automorphism exchanges.
-The H- and Q-shaped hosts the constructions build, and their
+contains_induced runs on witness hosts of up to 64 vertices. Its
+pattern side, the slot order, degrees and edge table, comes from
+_plan, cached per pattern, since a sweep checks the same few patterns
+against thousands of hosts; everything about the host is built per
+call. It starts each slot from the host vertices whose degree leaves
+room for the pattern vertex's neighbours and non-neighbours, and stops
+at once when one has none; an index over the vertices left lets it
+skip twin vertices and whole twin classes that a host automorphism
+exchanges. The H- and Q-shaped hosts the constructions build, and their
 complements, are cographs made of a few such classes, so on them one
 failed candidate rules out a whole group of exchangeable classes at a
 slot. No bound is proved, and the search stays exponential in the worst
@@ -55,10 +58,14 @@ case, for example on large regular hosts with no twins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from .graphs import Graph, _relabel
+
+# patterns kept by the per-pattern caches; a sweep checks one pattern
+# after another, so the live one stays
+_PATTERN_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -319,14 +326,17 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     """Find an induced copy of pattern in host, or report there is none.
 
     Backtracking over pattern vertices in descending degree order, trying
-    host candidates in increasing label order. Every slot keeps its
-    candidate set as a bitmask. The first sets come from the degrees
-    alone (the first step of Ullmann, J. ACM 23(1), 1976): a host vertex
-    can carry pattern vertex k only if it has at least as many
-    neighbours and at least as many non-neighbours as k. If a set is
-    empty the call returns None at once, with no index built. Placing a
-    vertex narrows each later set with one AND: against the placed
-    vertex's neighborhood when the pattern demands an edge, against its
+    host candidates in increasing label order. The slot order, the
+    slots' degrees and the pattern's edges between slots depend on the
+    pattern alone, so _plan builds them once per pattern and every later
+    call reads them from its cache. Every slot keeps its candidate set
+    as a bitmask. The first sets come from the degrees alone (the first
+    step of Ullmann, J. ACM 23(1), 1976): a host vertex can carry
+    pattern vertex k only if it has at least as many neighbours and at
+    least as many non-neighbours as k. If a set is empty the call
+    returns None at once, with no index built. Placing a vertex narrows
+    each later set with one AND: against the placed vertex's
+    neighborhood when the pattern demands an edge, against its
     non-neighborhood otherwise (induced means non-edges constrain too),
     and the placed vertex drops out. Three prunings keep misses on large
     hosts cheap:
@@ -365,19 +375,16 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
         return None
     if np_ == 0:
         return Embedding(())
-    prows = pattern.rows
-    pdeg = [r.bit_count() for r in prows]
-    porder = sorted(range(np_), key=pdeg.__getitem__, reverse=True)
+    porder, pdeg, edge = _plan(pattern.rows)
     hrows = host.rows
     by = [0] * nh
     for v, r in enumerate(hrows):
         by[r.bit_count()] |= 1 << v
     # at least d neighbours and np_ - 1 - d non-neighbours: degree d to d + span - 1
     span = nh - np_ + 1
-    first = [reduce(or_, by[pdeg[pv] : pdeg[pv] + span]) for pv in porder]
+    first = [reduce(or_, by[d : d + span]) for d in pdeg]
     if not all(first):
         return None
-    edge = [[prows[pv] >> pu & 1 for pu in porder] for pv in porder]
     # dom[i][k]: candidates for slot k once slots 0..i-1 are placed
     dom = [first] + [[0] * np_ for _ in range(np_ - 1)]
     skip = _skip_index(hrows, reduce(or_, first))
@@ -388,6 +395,24 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     for i, pv in enumerate(porder):
         out[pv] = assign[i]
     return Embedding(tuple(out))
+
+
+@lru_cache(maxsize=_PATTERN_CACHE)
+def _plan(
+    prows: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """contains_induced's pattern side, once per pattern: the slot order
+    (pattern vertices by descending degree, ties in label order), each
+    slot's degree, and the edge table, edge[i][k] 1 when the vertices of
+    slots i and k are joined. All tuples, so no search can change what
+    later calls share."""
+    pdeg = [r.bit_count() for r in prows]
+    porder = sorted(range(len(prows)), key=pdeg.__getitem__, reverse=True)
+    return (
+        tuple(porder),
+        tuple([pdeg[pv] for pv in porder]),
+        tuple([tuple([prows[pv] >> pu & 1 for pu in porder]) for pv in porder]),
+    )
 
 
 def _skip_index(rows: tuple[int, ...], live: int) -> dict[int, int]:
@@ -426,7 +451,7 @@ def _skip_index(rows: tuple[int, ...], live: int) -> dict[int, int]:
 def _extend(
     i: int,
     dom: list[list[int]],
-    edge: list[list[int]],
+    edge: tuple[tuple[int, ...], ...],
     hrows: tuple[int, ...],
     skip: dict[int, int],
     assign: list[int],

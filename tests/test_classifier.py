@@ -7,6 +7,7 @@ from indfree import (
     ClassTag,
     Construction,
     DegenerateForbiddenError,
+    Graph,
     HParams,
     InfeasibleFamilyError,
     ParameterError,
@@ -22,6 +23,7 @@ from indfree import (
     h_graph,
     make_graph,
     matching_graph,
+    parse_graph,
     path_graph,
     recognize_h,
     recognize_tnf,
@@ -30,6 +32,8 @@ from indfree import (
     turan_max_edges,
     witness,
 )
+from indfree import classifier
+from indfree.iso import _plan
 
 
 def binom2(n):
@@ -152,6 +156,55 @@ def test_verdict_complement_consistency():
     for n in range(1, 7):
         for g in enumerate_nonisomorphic(n):
             assert (classify(g).tag is ClassTag.TNF) == (classify(complement(g)).tag is ClassTag.TNF)
+
+
+# the per-pattern cache
+
+
+def twin(g):
+    """A Graph equal to g that shares no object with it."""
+    return Graph(g.order, tuple(list(g.rows)))
+
+
+def test_classify_runs_once_per_pattern(monkeypatch, paw):
+    # equal patterns built apart share one entry, so classify and witness
+    # on either recognize the shape once between them
+    classify.cache_clear()
+    calls = []
+    recognize = classifier.recognize_h
+    monkeypatch.setattr(classifier, "recognize_h", lambda g: calls.append(g) or recognize(g))
+    other = parse_graph("4;0-1,0-2,1-2,0-3")
+    assert other == paw and other is not paw
+    assert classify(paw) is classify(other)
+    witness(paw, 9, 17)
+    witness(other, 9, 17, verify=True)
+    assert len(calls) == 1
+    assert classify.cache_info().misses == 1
+
+
+def test_warm_calls_match_cold_ones():
+    # a cached class or plan gives the class and witness a cold call does
+    pairs = [(n, m) for n in (4, 9, 16) for m in (0, n, binom2(n) // 2, binom2(n))]
+    for order in range(2, 6):
+        for g in enumerate_nonisomorphic(order):
+            classify.cache_clear()
+            _plan.cache_clear()
+            cold = classify(g)
+            if cold.tag is ClassTag.TNF:
+                assert classify(twin(g)) == cold
+                continue
+            certs = [witness(g, n, m, verify=True) for n, m in pairs]
+            assert classify(twin(g)) == cold
+            assert [witness(twin(g), n, m, verify=True) for n, m in pairs] == certs
+
+
+def test_classify_errors_are_not_cached():
+    classify.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ParameterError):
+            classify(parse_graph("path:0"))
+    info = classify.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
 
 # witness dispatch

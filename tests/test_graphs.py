@@ -2,18 +2,34 @@ import pytest
 
 from indfree import (
     CapacityError,
+    Graph,
+    HParams,
+    QParams,
+    SplitParams,
     ValidationError,
+    canonical_form,
     complement,
     complete_graph,
     cycle_graph,
+    decode_graph6,
+    decode_graph6_list,
     disjoint_union,
     empty_graph,
+    enumerate_nonisomorphic,
+    h_graph,
     induced_subgraph,
     join,
+    k3k2_witness,
     make_graph,
     matching_graph,
+    matching_witness,
+    parse_graph,
     path_graph,
+    q_graph,
+    s_graph,
+    split_pack_witness,
     star_graph,
+    uep_witness,
 )
 
 
@@ -130,3 +146,42 @@ def test_edges_iteration():
     g = make_graph(4, [(0, 1), (2, 3), (1, 3)])
     assert sorted(g.edges()) == [(0, 1), (1, 3), (2, 3)]
     assert sorted(g.neighbors(1)) == [0, 3]
+
+
+def test_every_built_graph_has_tuple_rows_and_hashes():
+    # classify and contains_induced cache on graphs and their rows, so
+    # every Graph the package builds must have tuple rows and hash
+    base = path_graph(4)
+    specs = [
+        "claw", "paw", "diamond", "complete:4", "empty:3", "path:5", "cycle:5",
+        "star:3", "matching:2", "H:5,2,1", "S:3,2", "Q:7,1,1,1", "4;0-1,1-2", "D??",
+    ]
+    built = [
+        make_graph(3, [(0, 1)]),
+        complement(base),
+        join(base, star_graph(2)),
+        disjoint_union(base, empty_graph(2)),
+        induced_subgraph(base, [2, 0]),
+        decode_graph6("D??"),
+        *decode_graph6_list("D??\nC~\n"),
+        *map(parse_graph, specs),
+        complete_graph(4),
+        empty_graph(3),
+        path_graph(5),
+        cycle_graph(5),
+        star_graph(3),
+        matching_graph(2),
+        h_graph(HParams(5, 2, 1)),
+        s_graph(SplitParams(3, 2)),
+        q_graph(QParams(7, 1, 1, 1)),
+        uep_witness(9, 17),
+        k3k2_witness(9, 17),
+        split_pack_witness(9, 17),
+        matching_witness(9, 3),
+        canonical_form(base),
+        *enumerate_nonisomorphic(4),
+    ]
+    for g in built:
+        assert type(g.rows) is tuple and len(g.rows) == g.order, g
+        assert all(type(r) is int for r in g.rows), g
+        assert hash(g) == hash(Graph(g.order, tuple(list(g.rows))))

@@ -163,6 +163,38 @@ def test_contains_induced_degree_miss_builds_no_index(monkeypatch, claw):
     assert calls == [1]
 
 
+def test_plan_is_all_tuples_and_left_unchanged():
+    # every later call on the pattern shares _plan's result, so it holds
+    # only tuples, which no search can change
+    iso._plan.cache_clear()
+    paw = parse_graph("paw")
+    assert iso._plan(paw.rows) == (
+        (0, 1, 2, 3),
+        (3, 2, 2, 1),
+        ((0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0)),
+    )
+    hosts = [complete_graph(8), cycle_graph(9), complement(matching_graph(5))]
+    for spec in ("paw", "claw", "H:5,2,0", "cycle:5", "path:4"):
+        g = parse_graph(spec)
+        plan = iso._plan(g.rows)
+        assert type(plan) is tuple and all(type(part) is tuple for part in plan)
+        assert all(type(row) is tuple for row in plan[2])
+        for host in hosts + [witness(g, 12, 33).graph]:
+            contains_induced(host, g)
+        assert iso._plan(g.rows) is plan
+        assert plan == iso._plan.__wrapped__(g.rows)
+
+
+def test_warm_plans_give_cold_embeddings():
+    hosts = [random_graph(RNG.randrange(4, 13)) for _ in range(30)]
+    for g in enumerate_nonisomorphic(4):
+        iso._plan.cache_clear()
+        cold = [contains_induced(h, g) for h in hosts]
+        again = Graph(g.order, tuple(list(g.rows)))
+        assert [contains_induced(h, again) for h in hosts] == cold
+        assert iso._plan.cache_info().misses == 1
+
+
 def test_canonical_idempotent():
     for _ in range(40):
         g = random_graph(RNG.randrange(0, 9))

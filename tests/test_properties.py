@@ -280,6 +280,29 @@ def test_contains_induced_returns_the_first_embedding(host, pattern):
     assert (None if emb is None else emb.map) == reference_first_embedding(host, pattern)
 
 
+@given(
+    graphs(min_order=1, max_order=5),
+    graphs(min_order=1, max_order=5),
+    st.lists(
+        st.tuples(st.one_of(graphs(), twin_blowups(), block_blowups(max_order=12)), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_contains_induced_reuses_pattern_plans(a, b, checks):
+    # two patterns against many hosts, interleaved, each check through an
+    # equal pattern object of its own: the searches read cached plans
+    # back and forth and still return the first plain-backtracking copy
+    iso._plan.cache_clear()
+    for host, second in checks:
+        g = b if second else a
+        pattern = Graph(g.order, tuple(list(g.rows)))
+        emb = contains_induced(host, pattern)
+        assert (None if emb is None else emb.map) == reference_first_embedding(host, pattern)
+    assert iso._plan.cache_info().misses <= 2
+
+
 @given(st.one_of(twin_blowups(), block_blowups(max_order=10)))
 @settings(max_examples=200, deadline=None)
 def test_automorphisms_match_reference(g):
