@@ -130,9 +130,9 @@ def classify(g: Graph) -> ForbiddenClass:
 
     The result depends on g alone, so it is cached per graph: a sweep
     classifies the same few patterns thousands of times. Equal graphs
-    share one entry, so g's rows must be a tuple, as every Graph the
-    package builds has; a Graph made by hand with a list of rows cannot
-    be hashed. Errors are not cached and are raised on every call.
+    share one entry; Graph keeps its rows as a tuple, so a graph made by
+    hand with a list of rows shares it too. Errors are not cached and
+    are raised on every call.
     """
     if g.order < 1:
         raise ParameterError("classification needs at least one vertex")

@@ -28,8 +28,15 @@ part of the interface.
 
 The tables need no embedding search. Enumerating each order from the
 one below visits every class's deck, the graphs left by deleting one
-vertex, so _reps records which classes extend which as bitmasks, and
-feasible_pairs reads each table off those masks.
+vertex, so _reps records which classes extend which as bitmasks.
+_containing chains those links into containment masks, built once per
+pair of orders k < n: the classes on n vertices that contain each class
+F on k. A copy of F in a class C, plus any other vertex of C, is a
+one-vertex extension of F that C contains, so F's mask is the union of
+the masks of the classes on k + 1 vertices with F in their deck.
+feasible_pairs then ORs one mask per forbidden graph at each level, and
+stops at the first level where every class contains a forbidden graph,
+building nothing above it.
 """
 
 from __future__ import annotations
@@ -50,9 +57,11 @@ from .graphs import Graph, _co_rows, _relabel
 from .iso import _aut_generators, _canon_rows, _search, canonical_form
 
 ENUMERATION_CAP = 8
-# fewest parents per run: forking a helper and reaping it costs about
-# 4-6 ms, while the 11 parents on 4 vertices take 6.5 ms in all, and the
-# 34 on 5 take 39 ms in process against 31 ms in two slices
+# fewest parents per run. The 11 parents on 4 vertices take about 2 ms.
+# The 34 on 5 took 7.7-14.3 ms in process against 10.5-23.8 ms with one
+# helper, in process faster in 33 of 44 alternating fresh runs, and the
+# 156 on 6 took 66-124 ms against 45-141 ms, faster in 18 of 30; neither
+# wins often enough to keep its level in process
 _MIN_RUN = 16
 # bin()'s digits as the bytes 0 and 1, which compress reads as flags
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -414,6 +423,25 @@ def _edge_masks(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _containing(n: int, k: int) -> tuple[int, ...]:
+    """For each class on k < n vertices, in class order, the mask of the
+    classes in _reps(n) that contain it as an induced subgraph.
+
+    At k = n - 1 these are the up masks of _reps(n). Below, a copy of a
+    class F in a class C, plus any other vertex of C, is an induced
+    subgraph of C on k + 1 vertices with F in its deck, so F's mask is
+    the union of the masks of the classes on k + 1 vertices that have F
+    in their deck: one compress and one reduce per class, off _flags of
+    its up mask in _reps(k + 1).
+    """
+    up = _reps(k + 1)[1]
+    if k == n - 1:
+        return up
+    above = _containing(n, k + 1)
+    return tuple([reduce(or_, compress(above, _flags(mask)), 0) for mask in up])
+
+
+@lru_cache(maxsize=None)
 def _positions(n: int) -> dict[tuple[int, ...], int]:
     """The position of each class in _reps(n), keyed by its rows."""
     return {rows: i for i, rows in enumerate(_reps(n)[0])}
@@ -475,34 +503,31 @@ class PairTable:
 
 
 def feasible_pairs(family: FamilySpec, n: int) -> PairTable:
-    """Exact feasibility table, read off the classes' one-vertex decks.
+    """Exact feasibility table, read off the containment masks.
 
-    Being induced-F-free is hereditary. A class C on k vertices contains
-    a forbidden F of fewer vertices iff some card C - v does, since an
-    induced copy of F misses some vertex v; one of k vertices it contains
-    iff C is F. So, level by level from 1 to n, the classes containing a
-    forbidden graph are those extending such a class one level down
-    (the up masks of _reps) plus the forbidden graphs of that order, and
-    an edge count is feasible iff one of its classes is left over.
+    The classes on k vertices that contain a forbidden graph F of j < k
+    vertices are the mask _containing(k, j) gives F, found by its rows in
+    _positions(j); for j = k they are F alone. An edge count is feasible
+    at n iff one of its classes is in none of these masks.
 
-    Each level is one union: compress picks the up masks of the bad
-    classes one level down, off the bytes of _flags, and reduce ORs them.
-    A forbidden graph is found by its rows in _positions, built only for
-    a level that holds one. Once every class of a level is bad, so is
-    every class of every larger order, each having a card one level
-    down; the table is then all infeasible, and no larger level is read
-    or built.
+    Levels are checked in order, from the smallest forbidden order up to
+    n, each by one OR per forbidden graph of at most its order. Being
+    induced-F-free is hereditary, so once every class of a level is bad,
+    so is every class of every larger order, each having a card one
+    level down; the table is then all infeasible, and no larger level's
+    classes or masks are read or built.
     """
     _check_n(n)
     # bad: the classes on k vertices that contain a forbidden graph
     bad = 0
-    for k in range(1, n + 1):
-        classes, up = _reps(k)
-        bad = reduce(or_, compress(up, _flags(bad)), 0)
+    for k in range(family.forbidden[0].order, n + 1):
+        bad = 0
         for pat in family.forbidden:
-            if pat.order == k:
-                bad |= 1 << _positions(k)[pat.rows]
-        if bad.bit_count() == len(classes):
+            if pat.order > k:
+                break
+            pos = _positions(pat.order)[pat.rows]
+            bad |= 1 << pos if pat.order == k else _containing(k, pat.order)[pos]
+        if bad.bit_count() == len(_reps(k)[0]):
             return PairTable(n, (False,) * (n * (n - 1) // 2 + 1))
     good = ~bad
     return PairTable(n, tuple(mask & good != 0 for mask in _edge_masks(n)))

@@ -31,6 +31,12 @@ class Graph:
     order: int
     rows: tuple[int, ...]
 
+    def __post_init__(self):
+        # equal graphs hash equal, and caches keyed on a Graph or its
+        # rows accept one, whatever sequence the rows came in
+        if type(self.rows) is not tuple:
+            object.__setattr__(self, "rows", tuple(self.rows))
+
     @property
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.rows)) // 2

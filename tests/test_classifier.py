@@ -207,6 +207,27 @@ def test_classify_errors_are_not_cached():
     assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
 
+def test_list_rows_give_what_tuple_rows_give():
+    # Graph turns its rows into a tuple, so a graph made by hand with a
+    # list of rows hashes like the tuple-row graph and the caches keyed on
+    # it or its rows take it
+    listed = Graph(4, [14, 5, 3, 1])
+    tupled = Graph(4, (14, 5, 3, 1))
+    assert type(listed.rows) is tuple
+    assert listed == tupled and hash(listed) == hash(tupled)
+    hosts = [complete_graph(5), h_graph(HParams(5, 2, 1)), tupled, Graph(5, [30, 5, 3, 1, 1])]
+
+    def cold(g):
+        classify.cache_clear()
+        _plan.cache_clear()
+        return classify(g), [contains_induced(host, g) for host in hosts]
+
+    cls, found = cold(listed)
+    assert (cls, found) == cold(tupled)
+    assert cls.h == HParams(4, 2, 0)
+    assert found[0] is None and None not in found[1:]
+
+
 # witness dispatch
 
 

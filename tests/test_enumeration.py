@@ -537,14 +537,65 @@ def test_feasible_pairs_matches_reference_scan():
 
 def test_tables_read_no_level_above_an_all_bad_one(monkeypatch):
     # every graph on 6 vertices holds a triangle or an independent 3-set
-    # (R(3, 3) = 6), so level 6 is all bad and levels 7 and 8 are never read
+    # (R(3, 3) = 6), so level 6 is all bad and levels 7 and 8 are never
+    # read, nor any containment mask of their classes built
     read = []
     reps = enumeration._reps
     monkeypatch.setattr(enumeration, "_reps", lambda k: read.append(k) or reps(k))
+    built = []
+    containing = enumeration._containing
+    containing.cache_clear()
+    monkeypatch.setattr(enumeration, "_containing", lambda n, k: built.append(n) or containing(n, k))
     table = feasible_pairs(FamilySpec([complete_graph(3), empty_graph(3)]), 8)
     assert table.feasible == (False,) * (binom2(8) + 1)
     assert (table.f, table.F) == (0, binom2(8))
     assert max(read) == 6
+    assert max(built) == 6
+
+
+# the class counts with the one class on no vertices
+CLASS_COUNTS = {0: 1, **EXPECTED_COUNTS}
+
+
+def containment_agrees(n, k, sources, targets):
+    """Bit c of _containing(n, k)[i] is set iff class c on n vertices
+    contains class i on k, for each i in sources and each c that
+    targets gives for i's mask."""
+    masks = enumeration._containing(n, k)
+    small, large = list(enumerate_nonisomorphic(k)), list(enumerate_nonisomorphic(n))
+    for i in sources:
+        for c in targets(masks[i]):
+            found = iso.contains_induced(large[c], small[i]) is not None
+            assert (masks[i] >> c & 1) == found, (n, k, i, c)
+
+
+def test_containing_matches_the_embedding_search():
+    for n in range(1, 7):
+        for k in range(n):
+            containment_agrees(n, k, range(CLASS_COUNTS[k]), lambda mask: range(CLASS_COUNTS[n]))
+    # above, up to 20 classes with the bit set and 20 without, so both
+    # kinds of error can show
+    rng = random.Random("containing")
+    for n in (7, 8):
+
+        def targets(mask):
+            bits = [[], []]
+            for c in range(CLASS_COUNTS[n]):
+                bits[mask >> c & 1].append(c)
+            return [c for side in bits for c in rng.sample(side, min(20, len(side)))]
+
+        for k in range(n):
+            sources = rng.sample(range(CLASS_COUNTS[k]), min(3, CLASS_COUNTS[k]))
+            containment_agrees(n, k, sources, targets)
+
+
+def test_containing_holds_tuples_of_masks():
+    # cached for the process, so no caller may change what later ones read
+    for n in range(1, 9):
+        for k in range(n):
+            masks = enumeration._containing(n, k)
+            assert type(masks) is tuple and len(masks) == CLASS_COUNTS[k]
+            assert all(type(m) is int and 0 < m < 1 << CLASS_COUNTS[n] for m in masks)
 
 
 def test_pairs_p3k1_k3k1_at_five(p3_k1, k3_k1):
