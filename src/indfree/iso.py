@@ -41,31 +41,45 @@ automorphisms found at tied leaves (McKay & Piperno); the ways out
 that change outputs wait on a decision (ROADMAP item 7).
 
 contains_induced runs on witness hosts of up to 64 vertices. Its
-pattern side, the slot order, degrees and edge table, comes from
-_plan, cached per pattern, since a sweep checks the same few patterns
-against thousands of hosts; everything about the host is built per
-call. It starts each slot from the host vertices whose degree leaves
-room for the pattern vertex's neighbours and non-neighbours, and stops
-at once when one has none; an index over the vertices left lets it
-skip twin vertices and whole twin classes that a host automorphism
+pattern side, the slot order, degrees, edge table and twin links, comes
+from _plan, cached per pattern, since a sweep checks the same few
+patterns against thousands of hosts; everything about the host is built
+per call. It starts each slot from the host vertices whose degree
+leaves room for the pattern vertex's neighbours and non-neighbours, and
+stops at once when one has none; an index over the vertices left lets
+it skip twin vertices and whole twin classes that a host automorphism
 exchanges. The H- and Q-shaped hosts the constructions build, and their
 complements, are cographs made of a few such classes, so on them one
 failed candidate rules out a whole group of exchangeable classes at a
-slot. No bound is proved, and the search stays exponential in the worst
-case, for example on large regular hosts with no twins.
+slot. On the pattern side, each twin class takes its host vertices in
+increasing order, so a class of s twins is placed once, not in s!
+orders. Every embedding returned is the same as without these cuts. No
+bound is proved, and the search stays exponential in the worst case,
+for example on large regular hosts with no twins, or on patterns whose
+twin classes swap whole, since only single pattern twins are ordered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import or_
 
-from .graphs import Graph, _relabel
+from .graphs import MAX_ORDER, Graph, _relabel
 
 # patterns kept by the per-pattern caches; a sweep checks one pattern
 # after another, so the live one stays
 _PATTERN_CACHE = 256
+
+# _BITS[v] is vertex v's bit, for every order the package builds
+_BITS = tuple([1 << v for v in range(MAX_ORDER)])
+
+
+def _bits(n: int) -> tuple[int, ...]:
+    """The bits of vertices 0..n-1 and maybe more, to zip with n rows;
+    a Graph made by hand can be larger than the package builds."""
+    return _BITS if n <= MAX_ORDER else tuple([1 << v for v in range(n)])
 
 
 @dataclass(frozen=True)
@@ -156,13 +170,11 @@ def _twin_classes(rows: tuple[int, ...], live: int) -> dict[int, int]:
     """
     cls: dict[int, int] = {}
     get = cls.get
-    while live:
-        lsb = live & -live
-        live ^= lsb
-        r = rows[lsb.bit_length() - 1]
-        cls[r] = get(r, 0) | lsb
-        r |= lsb
-        cls[r] = get(r, 0) | lsb
+    for r, bit in zip(rows, _bits(len(rows))):
+        if live & bit:
+            cls[r] = get(r, 0) | bit
+            r |= bit
+            cls[r] = get(r, 0) | bit
     return cls
 
 
@@ -333,13 +345,14 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     as a bitmask. The first sets come from the degrees alone (the first
     step of Ullmann, J. ACM 23(1), 1976): a host vertex can carry
     pattern vertex k only if it has at least as many neighbours and at
-    least as many non-neighbours as k. If a set is empty the call
-    returns None at once, with no index built. Placing a vertex narrows
-    each later set with one AND: against the placed vertex's
-    neighborhood when the pattern demands an edge, against its
-    non-neighborhood otherwise (induced means non-edges constrain too),
-    and the placed vertex drops out. Three prunings keep misses on large
-    hosts cheap:
+    least as many non-neighbours as k, a run of degrees, so each set is
+    the difference of two prefix ORs of the host's degree buckets. If a
+    set is empty the call returns None at once, with no index built.
+    Placing a vertex narrows each later set with one AND: against the
+    placed vertex's neighborhood when the pattern demands an edge,
+    against its non-neighborhood otherwise (induced means non-edges
+    constrain too), and the placed vertex drops out. Four prunings keep
+    misses on large hosts cheap:
 
     * forward checking: a placement that empties a later set is undone
       at once, instead of when the search reaches that slot;
@@ -352,44 +365,65 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
       the exchange fixes every placed vertex. If one does, it is joined
       to its own block as that block's kind says and to the other block
       the opposite way (else the two would be one block), so forward
-      checking has already removed the other block from the slot.
+      checking has already removed the other block from the slot;
+    * twin order: the pattern's own twins take their host vertices in
+      increasing order. _plan links each slot to the last slot before
+      it that holds a twin of its pattern vertex, and a slot keeps only
+      the candidates above that slot's host vertex. Twins share a
+      degree, so a twin class lies in one degree run of the slot order.
+      Without this a class of s twins was tried in up to s! orders on
+      the same host vertices: H(30,5,10)'s witness for (64, 1016) took
+      5,051,650 nodes and S(25,3)'s for (64, 572) 28,354,104.
 
     The K3K2 witness hosts delete many disjoint edges and triangles from
     a clique. Each deleted edge or triangle is a block, all of them
-    exchangeable, and without the third pruning a miss tried the pattern
-    on each of them in turn, at every slot.
+    exchangeable, and without block-swap pruning a miss tried the
+    pattern on each of them in turn, at every slot.
 
-    The last two are one rule, as in _least_code: _skip_index, built
-    once per call over the live vertices (those in some first set),
-    gives each one's twin class and that class's partners, and a failed
-    candidate takes them out of its slot. Twins and partner blocks share
-    a degree, so they are live together. All three prunings and the
-    degree sets cut only subtrees without a solution, so the returned
-    embedding is the first one in the unpruned search order. The
-    README's verify times come from patterns on 2 to 5 vertices only.
-    Larger ones can be slow, as the pattern's own twins are not skipped:
-    H(20,3,5)'s witness for (64, 1016) takes 129,048 nodes.
+    Twin and block-swap pruning are one rule, as in _least_code:
+    _skip_index, built once per call over the live vertices (those in
+    some first set), gives each one's twin class and that class's
+    partners, and a failed candidate takes them out of its slot. Twins
+    and partner blocks share a degree, so they are live together.
+
+    The search tries assignments in lexicographic order, slot by slot,
+    and returns the first embedding it reaches, so it returns the least
+    embedding L, in slot order, of the unpruned search, as long as no
+    pruning cuts the path to L. The degree sets and forward checking
+    drop only candidates that fail an edge or non-edge. The twin order
+    keeps L: if twins at slots i < j had L[i] > L[j], swapping their
+    images, a pattern automorphism, would give an embedding less than L
+    at slot i. The host-side skips keep L too: say candidate v' = L[i]
+    was skipped at slot i, with L[:i] placed, because a lower candidate
+    v had failed there. A host automorphism t exchanges v and v' and
+    fixes every placed vertex (when a block holds a placed vertex, the
+    skip removed nothing the slot still held), so t applied to L is an
+    embedding that agrees with L before slot i and is v < v' at slot i,
+    less than L, which cannot be. So the prunings change which subtrees
+    are searched, never the embedding returned.
     """
     np_, nh = pattern.order, host.order
     if np_ > nh:
         return None
     if np_ == 0:
         return Embedding(())
-    porder, pdeg, edge = _plan(pattern.rows)
+    porder, pdeg, edge, prev = _plan(pattern.rows)
     hrows = host.rows
     by = [0] * nh
-    for v, r in enumerate(hrows):
-        by[r.bit_count()] |= 1 << v
+    for r, bit in zip(hrows, _bits(nh)):
+        by[r.bit_count()] |= bit
+    # upto[d]: the host vertices of degree below d
+    upto = [0, *accumulate(by, or_)]
     # at least d neighbours and np_ - 1 - d non-neighbours: degree d to d + span - 1
     span = nh - np_ + 1
-    first = [reduce(or_, by[d : d + span]) for d in pdeg]
+    first = [upto[d + span] ^ upto[d] for d in pdeg]
     if not all(first):
         return None
     # dom[i][k]: candidates for slot k once slots 0..i-1 are placed
     dom = [first] + [[0] * np_ for _ in range(np_ - 1)]
     skip = _skip_index(hrows, reduce(or_, first))
     assign = [0] * np_
-    if not _extend(0, dom, edge, hrows, skip, assign):
+    if not _extend(0, dom, edge, prev, hrows, skip, assign):
         return None
     out = [0] * np_
     for i, pv in enumerate(porder):
@@ -400,18 +434,26 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
 @lru_cache(maxsize=_PATTERN_CACHE)
 def _plan(
     prows: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """contains_induced's pattern side, once per pattern: the slot order
     (pattern vertices by descending degree, ties in label order), each
-    slot's degree, and the edge table, edge[i][k] 1 when the vertices of
-    slots i and k are joined. All tuples, so no search can change what
-    later calls share."""
+    slot's degree, the edge table, edge[i][k] 1 when the vertices of
+    slots i and k are joined, and prev[i], the last slot before i whose
+    vertex is a twin of slot i's, or -1 if none is. All tuples, so no
+    search can change what later calls share."""
     pdeg = [r.bit_count() for r in prows]
     porder = sorted(range(len(prows)), key=pdeg.__getitem__, reverse=True)
+    twins = _twin_masks(prows)
+    last: dict[int, int] = {}
+    prev = []
+    for i, pv in enumerate(porder):
+        prev.append(last.get(twins[pv], -1))
+        last[twins[pv]] = i
     return (
         tuple(porder),
         tuple([pdeg[pv] for pv in porder]),
         tuple([tuple([prows[pv] >> pu & 1 for pu in porder]) for pv in porder]),
+        tuple(prev),
     )
 
 
@@ -452,6 +494,7 @@ def _extend(
     i: int,
     dom: list[list[int]],
     edge: tuple[tuple[int, ...], ...],
+    prev: tuple[int, ...],
     hrows: tuple[int, ...],
     skip: dict[int, int],
     assign: list[int],
@@ -460,8 +503,15 @@ def _extend(
     n = len(assign)
     cur = dom[i]
     cand = cur[i]
+    if prev[i] >= 0:
+        # a pattern twin class takes its host vertices in increasing order
+        cand &= -(2 << assign[prev[i]])
     if i + 1 == n:
-        # nonempty: forward checking undoes any placement that empties it
+        # nonempty: each w in cur[i], which forward checking keeps
+        # nonempty, completes an embedding. The search reaches no prefix
+        # past the least embedding's, and a prefix before it would give
+        # a lesser one, so this is the least embedding's prefix, and its
+        # vertex here, above its twin's, survives the twin order
         assign[i] = (cand & -cand).bit_length() - 1
         return True
     nxt = dom[i + 1]
@@ -479,7 +529,7 @@ def _extend(
             nxt[k] = m
         else:
             assign[i] = hv
-            if _extend(i + 1, dom, edge, hrows, skip, assign):
+            if _extend(i + 1, dom, edge, prev, hrows, skip, assign):
                 return True
         cand &= ~(skip[row] | skip[closed])
     return False

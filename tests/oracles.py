@@ -36,6 +36,10 @@ embedding the library returns, not only whether one exists. The
 least-code reference is the library's earlier ordering walk, which
 computes every candidate's code bit by bit over the placed vertices,
 where the library narrows the candidate mask once per placed vertex.
+The construction-containment oracle decides whether a witness host
+contains a pattern from the host's parameters alone, in closed form:
+it never searches the host, so it can check the embedding search on
+hosts of up to 64 vertices, where brute force cannot.
 """
 
 from __future__ import annotations
@@ -45,11 +49,13 @@ from itertools import combinations, permutations
 from indfree import (
     MAX_ORDER,
     CapacityError,
+    Construction,
     FamilySpec,
     Graph,
     HParams,
     PairTable,
     ParseError,
+    QParams,
     canonical_form,
     complement,
     contains_induced,
@@ -589,3 +595,127 @@ def reference_recognize_h(g: Graph) -> HParams | None:
         if v != center and co.rows[v] & ~(1 << center):
             return None
     return HParams(p, q, r)
+
+
+def builder_params(construction: Construction, n: int, m: int) -> HParams | QParams:
+    """The parameters of the graph the construction's builder starts from
+    for (n, m): H(p, C(p,2) - m, n - p) for UEP and Q(p, n - p, x, y) for
+    K3K2, p the least clique with C(p,2) >= m, and the same at the
+    complementary edge count for the two complement constructions.
+
+    Worked out here from the edge counts, by counting up to p and down
+    to the least x with 3x + 2y <= p, not with the builders' arithmetic.
+    """
+    if construction in (Construction.UEP_COMPLEMENT, Construction.K3K2_COMPLEMENT):
+        m = n * (n - 1) // 2 - m
+    p = 0
+    while p * (p - 1) // 2 < m:
+        p += 1
+    t = p * (p - 1) // 2 - m
+    if construction in (Construction.UEP, Construction.UEP_COMPLEMENT):
+        return HParams(p, t, n - p)
+    x = t // 3
+    while x and 3 * (x - 1) + 2 * (t - 3 * (x - 1)) <= p:
+        x -= 1
+    return QParams(p, n - p, x, t - 3 * x)
+
+
+def construction_host(construction: Construction, params: HParams | QParams) -> Graph:
+    """The host the construction builds from params, from edge lists."""
+    if isinstance(params, HParams):
+        g = reference_h_graph(params.p, params.q, params.r)
+    else:
+        g = reference_q_graph(params.p, params.r, params.x, params.y)
+    if construction in (Construction.UEP_COMPLEMENT, Construction.K3K2_COMPLEMENT):
+        return complement(g)
+    return g
+
+
+def _h_canon(p: int, q: int, r: int) -> tuple[int, int, int]:
+    """H(p,q,r)'s parameters as reference_recognize_h reads them off the
+    graph: a center that lost every clique edge is one more isolate, and
+    so is a clique of one vertex."""
+    if p <= 1:
+        return 0, 0, p + r
+    if q == p - 1:
+        return _h_canon(p - 1, 0, r + 1)
+    return p, q, r
+
+
+def _multipartite_parts(pattern: Graph) -> tuple[list[int], int] | None:
+    """The part sizes of a complete multipartite graph on the pattern's
+    vertices of nonzero degree, and the number of the others, or None
+    if those vertices do not form one."""
+    core = [v for v in range(pattern.order) if pattern.rows[v]]
+    parts: list[int] = []
+    seen: set[int] = set()
+    for v in core:
+        if v in seen:
+            continue
+        part = {u for u in core if u == v or not pattern.rows[v] >> u & 1}
+        for u in part:
+            if {w for w in core if w == u or not pattern.rows[u] >> w & 1} != part:
+                return None
+        seen |= part
+        parts.append(len(part))
+    return parts, pattern.order - len(core)
+
+
+def construction_contains(host_params, pattern: Graph) -> bool:
+    """Whether the host (construction, params) names, construction_host's
+    graph, has an induced copy of pattern, read off the parameters.
+
+    UEP: the host is H(p,q,r). An induced subgraph keeps the center or
+    not, a of the q leaves, b of the p - 1 - q other clique vertices and
+    i of the r isolates, and is H(1 + a + b, a, i) or H(a + b, 0, i), an
+    H-graph with parameters the host's dominate. So the pattern must be
+    H-shaped (reference_recognize_h), with its parameters among those.
+
+    K3K2: the host is Q(p,r,x,y), K_p less x disjoint triangles and y
+    disjoint edges plus r isolates: the complete multipartite graph with
+    x parts of 3, y of 2 and p - 3x - 2y of 1, plus r isolates. An
+    induced subgraph takes part of some parts and some isolates. Taking
+    from two parts or more gives a complete multipartite graph whose
+    parts fit into distinct host parts, plus isolates taken from the r
+    alone; taking from one part gives isolates only, at most r plus the
+    largest part.
+
+    The complement constructions: the host's complement is the graph
+    above, and the host contains the pattern exactly when that graph
+    contains the pattern's complement.
+    """
+    construction, params = host_params
+    if construction in (Construction.UEP_COMPLEMENT, Construction.K3K2_COMPLEMENT):
+        pattern = complement(pattern)
+    k = pattern.order
+    if isinstance(params, HParams):
+        want = reference_recognize_h(pattern)
+        if want is None:
+            return False
+        want = (want.p, want.q, want.r)
+        p, q, r = params.p, params.q, params.r
+        for c in range(min(p, 1) + 1):
+            for a in range(q + 1):
+                for b in range(max(p - 1 - q, 0) + 1):
+                    i = k - c - a - b
+                    shape = (1 + a + b, a, i) if c else (a + b, 0, i)
+                    if 0 <= i <= r and _h_canon(*shape) == want:
+                        return True
+        return False
+    found = _multipartite_parts(pattern)
+    if found is None:
+        return False
+    parts, isolates = found
+    p, r, x, y = params.p, params.r, params.x, params.y
+    if not parts:
+        largest = 3 if x else 2 if y else 1 if p else 0
+        return isolates <= r + largest
+    # host parts, largest first: the pattern's parts fit into distinct
+    # ones exactly when the i-th largest fits into the i-th largest
+    sizes = [3] * x + [2] * y + [1] * (p - 3 * x - 2 * y)
+    parts.sort(reverse=True)
+    return (
+        len(parts) <= len(sizes)
+        and all(s <= h for s, h in zip(parts, sizes))
+        and isolates <= r
+    )

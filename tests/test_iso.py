@@ -131,6 +131,11 @@ def test_least_code_nodes_on_cycles(monkeypatch, n, built, relabelled):
         ("H:5,2,0", 64, 1512, 4),
         ("paw", 64, 1500, 7),
         ("H:20,3,5", 64, 1016, 129048),
+        ("H:20,3,5", 64, 1016, 126),
+        ("H:30,5,10", 64, 1016, 177),
+        ("S:25,3", 64, 572, 243),
+        ("H:26,2,16", 64, 619, 179),
+        ("H:40,2,0", 64, 1016, 179),
     ],
 )
 def test_extend_nodes_on_witness_hosts(monkeypatch, spec, n, m, most):
@@ -140,12 +145,30 @@ def test_extend_nodes_on_witness_hosts(monkeypatch, spec, n, m, most):
     # first candidate sets cut by degree can only cut more (H:6,2,1
     # takes 5 with them).
     # H:20,3,5's clique vertices outside the star are twins in the
-    # pattern, and the search appears to try them in every order
+    # pattern. The search tried them in every order, 129,048 nodes, until
+    # it placed each pattern twin class in increasing order, which left
+    # 126. The last four took 5,051,650, 28,354,104, 10,430,315 and
+    # 7,794,929 before that; their bounds are the counts with the twin
+    # order
     nodes = []
     walk = iso._extend
     monkeypatch.setattr(iso, "_extend", lambda *a: nodes.append(1) or walk(*a))
     witness(parse_graph(spec), n, m, verify=True)
     assert len(nodes) <= most
+
+
+def test_hand_made_graphs_above_the_cap():
+    # Graph takes rows as they come, so it can have more than the 64
+    # vertices make_graph allows; the bit tables must not drop the rest
+    k6 = [sum(1 << v for v in range(64, 70) if v != u) for u in range(64, 70)]
+    emb = contains_induced(Graph(70, (0,) * 64 + tuple(k6)), complete_graph(3))
+    assert emb.map == (64, 65, 66)
+    two_c4 = disjoint_union(cycle_graph(4), cycle_graph(4))
+    g = Graph(70, (0,) * 62 + tuple([r << 62 for r in two_c4.rows]))
+    flipped = apply_perm(g, tuple(reversed(range(70))))
+    assert canonical_form(g) == canonical_form(flipped)
+    c8 = Graph(70, (0,) * 62 + tuple([r << 62 for r in cycle_graph(8).rows]))
+    assert canonical_form(g) != canonical_form(c8)
 
 
 def test_contains_induced_degree_miss_builds_no_index(monkeypatch, claw):
@@ -172,6 +195,7 @@ def test_plan_is_all_tuples_and_left_unchanged():
         (0, 1, 2, 3),
         (3, 2, 2, 1),
         ((0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0)),
+        (-1, -1, 1, -1),
     )
     hosts = [complete_graph(8), cycle_graph(9), complement(matching_graph(5))]
     for spec in ("paw", "claw", "H:5,2,0", "cycle:5", "path:4"):

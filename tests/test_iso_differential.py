@@ -30,7 +30,8 @@ def to_nx(g: Graph):
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(graphs(max_order=10), twin_blowups(), block_blowups()),
-    graphs(min_order=1, max_order=5),
+    # twin patterns stay at 9 vertices, where VF2 is quick
+    st.one_of(graphs(min_order=1, max_order=5), twin_blowups(max_base=3, max_class=3)),
 )
 def test_contains_induced_agrees_with_vf2(host, pattern):
     emb = contains_induced(host, pattern)

@@ -66,11 +66,12 @@ def graphs(draw, min_order=0, max_order=8):
 
 
 @st.composite
-def twin_blowups(draw):
-    """Hosts whose every base vertex becomes a class of 1-4 twins, all
-    adjacent (closed twins) or none (open twins)."""
-    base = draw(graphs(min_order=1, max_order=5))
-    sizes = [draw(st.integers(1, 4)) for _ in range(base.order)]
+def twin_blowups(draw, max_base=5, max_class=4):
+    """Graphs whose every base vertex, of at most max_base, becomes a
+    class of 1 to max_class twins, all adjacent (closed twins) or none
+    (open twins)."""
+    base = draw(graphs(min_order=1, max_order=max_base))
+    sizes = [draw(st.integers(1, max_class)) for _ in range(base.order)]
     cliques = [draw(st.booleans()) for _ in range(base.order)]
     owner = [v for v, k in enumerate(sizes) for _ in range(k)]
     edges = [
@@ -269,12 +270,13 @@ def test_contains_induced_on_block_hosts_matches_brute_force(host, pattern):
 
 @given(
     st.one_of(graphs(), twin_blowups(), block_blowups(max_order=12)),
-    graphs(max_order=5),
+    st.one_of(graphs(max_order=5), twin_blowups(max_base=3, max_class=3)),
 )
 @settings(max_examples=300, deadline=None)
 def test_contains_induced_returns_the_first_embedding(host, pattern):
-    # the forward checking and the twin and block skips cut only
-    # subtrees without a solution, so the search returns the embedding
+    # the forward checking, the twin and block skips and the increasing
+    # order of each pattern twin class never cut the path to the
+    # lexicographically least embedding, so the search returns the one
     # plain backtracking finds first
     emb = contains_induced(host, pattern)
     assert (None if emb is None else emb.map) == reference_first_embedding(host, pattern)
