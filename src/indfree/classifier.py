@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .constructions import HParams, _check_pair, k3k2_witness, uep_witness
+from .constructions import (
+    HParams,
+    QParams,
+    _check_pair,
+    _h_rows,
+    _k3k2_params,
+    _q_rows,
+    _uep_params,
+)
 from .errors import (
     DegenerateForbiddenError,
     InfeasibleFamilyError,
@@ -21,7 +29,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .graphs import Graph, complement
+from .graphs import Graph
 from .iso import _PATTERN_CACHE, contains_induced
 
 
@@ -57,7 +65,12 @@ class ForbiddenClass:
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """Auditable dispatcher output: the graph, what it avoids, how it was built."""
+    """Auditable dispatcher output: the graph, what it avoids, how it was built.
+
+    params holds the HParams or QParams of the host the construction
+    built; for the two complement constructions that is the graph whose
+    complement is `graph`.
+    """
 
     graph: Graph
     n: int
@@ -65,6 +78,7 @@ class WitnessCertificate:
     forbidden: Graph
     construction: Construction
     verified: bool
+    params: HParams | QParams | None = None
 
 
 def recognize_tnf(g: Graph) -> tuple[TnfKind, int] | None:
@@ -159,9 +173,13 @@ def witness(forbidden: Graph, n: int, m: int, verify: bool = False) -> WitnessCe
       H(p,1,r), p>=4, r>=1  -> complement of a UEP graph, same reason;
       H(3,1,r), r>=1        -> complement of an elimination graph: the
                                complement of G is H(r+3, 2, 0).
-    Any shape missing from this list is TNF, rejected up front. With
-    verify set, the embedding oracle re-checks the output; a hit would
-    falsify the construction and raises an internal error.
+    Any shape missing from this list is TNF, rejected up front. The two
+    complement constructions are built directly, in one pass, from the
+    complement's row formulas (see constructions.h_graph and q_graph),
+    not by complementing a finished graph. The certificate's params are
+    those of the H- or Q-graph built, or complemented. With verify set,
+    the embedding oracle re-checks the output; a hit would falsify the
+    construction and raises an internal error.
     """
     if forbidden.order <= 1:
         raise DegenerateForbiddenError(
@@ -175,13 +193,15 @@ def witness(forbidden: Graph, n: int, m: int, verify: bool = False) -> WitnessCe
     co_m = n * (n - 1) // 2 - m
     h = cls.h
     if h is None:
-        tag, g = Construction.UEP, uep_witness(n, m)
+        tag, params, co = Construction.UEP, _uep_params(n, m), False
     elif h.q >= 2:
-        tag, g = Construction.K3K2, k3k2_witness(n, m)
+        tag, params, co = Construction.K3K2, _k3k2_params(n, m), False
     elif h.q == 0 or h.p >= 4:
-        tag, g = Construction.UEP_COMPLEMENT, complement(uep_witness(n, co_m))
+        tag, params, co = Construction.UEP_COMPLEMENT, _uep_params(n, co_m), True
     else:
-        tag, g = Construction.K3K2_COMPLEMENT, complement(k3k2_witness(n, co_m))
+        tag, params, co = Construction.K3K2_COMPLEMENT, _k3k2_params(n, co_m), True
+    build = _h_rows if type(params) is HParams else _q_rows
+    g = Graph(params.order, build(params, co))
 
     if g.order != n or g.edge_count != m:
         raise InternalInvariantError(
@@ -191,7 +211,7 @@ def witness(forbidden: Graph, n: int, m: int, verify: bool = False) -> WitnessCe
         raise InternalInvariantError(
             f"witness from {tag.value} for ({n},{m}) contains the forbidden graph"
         )
-    return WitnessCertificate(g, n, m, forbidden, tag, verify)
+    return WitnessCertificate(g, n, m, forbidden, tag, verify, params)
 
 
 def turan_max_edges(n: int, k: int) -> int:

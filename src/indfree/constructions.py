@@ -6,6 +6,17 @@ r isolates; S(p,r) is the complete split graph (p-clique joined to an
 r-independent set); Q(p,r,x,y) is a p-clique minus a vertex-disjoint
 packing of x triangles and y edges, plus r isolates.
 
+H and Q, and their complements, are built row by row from closed forms
+in one pass. With F = 2^p - 1, A = 2^(p+r) - 1 and I = A ^ F:
+  H (center 0, leaves 1..q, S = (2^q - 1) << 1): the center has F ^ 1 ^ S,
+    a leaf u F ^ 1 ^ 1 << u, another clique vertex u F ^ 1 << u, an
+    isolate 0; in the complement I | S, I | 1, I and A ^ 1 << u;
+  Q (t = 3x, e = t + 2y): a triangle vertex u < t has F & ~(7 << 3(u // 3)),
+    an edge vertex u in [t, e), on the pair from a = u - ((u - t) & 1),
+    F ^ 3 << a, another clique vertex u F ^ 1 << u, an isolate 0; in the
+    complement I | (7 << 3(u // 3)) ^ 1 << u, I | 1 << (2a + 1 - u), I
+    and A ^ 1 << u.
+
 The builders realize every edge count: uep_witness peels edges off a
 clique one vertex at a time and lands on an H-graph; k3k2_witness deletes
 triangles and independent edges and lands on a Q-graph; split_pack_witness
@@ -20,10 +31,9 @@ from math import isqrt
 
 from .errors import ParameterError, RangeError
 from .graphs import (
+    _BITS,
     Graph,
     _check_order,
-    _clique_rows,
-    complement,
     complete_graph,
     empty_graph,
     join,
@@ -99,18 +109,42 @@ class SplitParams:
         return self.p * (self.p - 1) // 2 + self.p * self.r
 
 
+def _h_rows(params: HParams, co: bool) -> tuple[int, ...]:
+    """h_graph's rows, or with co set its complement's, in one pass by
+    the row formulas of h_graph's docstring. Checks the order p + r
+    before building any row."""
+    p, q, r = params.p, params.q, params.r
+    _check_order(p + r)
+    full = (1 << p) - 1
+    leaves = ((1 << q) - 1) << 1
+    if co:
+        every = (1 << p + r) - 1
+        isolate = every ^ full
+        tail = [every ^ b for b in _BITS[p : p + r]]
+        if not p:
+            return tuple(tail)
+        return tuple([isolate | leaves] + [isolate | 1] * q + [isolate] * (p - 1 - q) + tail)
+    if not p:
+        return (0,) * r
+    return tuple(
+        [full ^ 1 ^ leaves]
+        + [full ^ 1 ^ b for b in _BITS[1 : q + 1]]
+        + [full ^ b for b in _BITS[q + 1 : p]]
+        + [0] * r
+    )
+
+
 def h_graph(params: HParams) -> Graph:
     """Build H(p,q,r). Star center is vertex 0, leaves are 1..q.
 
-    Rows: with full = 2^p - 1, clique vertex u has full ^ 1 << u, except
-    that row 0 lacks bits 1..q and rows 1..q lack bit 0; the r isolated
-    vertices p..p+r-1 have row 0.
+    Rows, with F = 2^p - 1 and S = (2^q - 1) << 1: F ^ 1 ^ S for the
+    center, F ^ 1 ^ 1 << u for each leaf u, F ^ 1 << u for each other
+    clique vertex u, and 0 for the r isolated vertices p..p+r-1. The
+    complement's rows, with A = 2^(p+r) - 1 and I = A ^ F: I | S for the
+    center, I | 1 for each leaf, I for each other clique vertex and
+    A ^ 1 << v for each isolate v.
     """
-    rows = _clique_rows(params.p, params.r)
-    for leaf in range(1, params.q + 1):
-        rows[0] ^= 1 << leaf
-        rows[leaf] ^= 1
-    return Graph(params.order, tuple(rows))
+    return Graph(params.order, _h_rows(params, False))
 
 
 def s_graph(params: SplitParams) -> Graph:
@@ -118,24 +152,45 @@ def s_graph(params: SplitParams) -> Graph:
     return join(complete_graph(params.p), empty_graph(params.r))
 
 
+def _q_rows(params: QParams, co: bool) -> tuple[int, ...]:
+    """q_graph's rows, or with co set its complement's, in one pass by
+    the row formulas of q_graph's docstring; an edge vertex u's partner
+    2a + 1 - u is u + 1 - 2((u - t) & 1). Checks the order p + r before
+    building any row."""
+    p, r = params.p, params.r
+    t = 3 * params.x
+    e = t + 2 * params.y
+    _check_order(p + r)
+    full = (1 << p) - 1
+    if co:
+        every = (1 << p + r) - 1
+        isolate = every ^ full
+        return tuple(
+            [isolate | 7 * _BITS[u - u % 3] ^ _BITS[u] for u in range(t)]
+            + [isolate | _BITS[u + 1 - 2 * (u - t & 1)] for u in range(t, e)]
+            + [isolate] * (p - e)
+            + [every ^ b for b in _BITS[p : p + r]]
+        )
+    return tuple(
+        [full ^ 7 * _BITS[u - u % 3] for u in range(t)]
+        + [full ^ 3 * _BITS[u - (u - t & 1)] for u in range(t, e)]
+        + [full ^ b for b in _BITS[e:p]]
+        + [0] * r
+    )
+
+
 def q_graph(params: QParams) -> Graph:
     """Build Q(p,r,x,y). Triangles occupy vertices 0..3x-1, edges the next 2y.
 
-    Rows: start from K_p's rows (full ^ 1 << u, full = 2^p - 1). Triangle
-    i on a = 3i, a+1, a+2 clears its mask 7 << a from its three rows; edge
-    j on a = 3x + 2j, a+1 clears bit a+1 of row a and bit a of row a+1.
-    The r isolated vertices p..p+r-1 have row 0.
+    Rows, with F = 2^p - 1, t = 3x and e = t + 2y: triangle vertex u < t
+    has F & ~(7 << 3(u // 3)), its triangle cleared; edge vertex u in
+    [t, e), on the pair from a = u - ((u - t) & 1), has F ^ 3 << a; any
+    other clique vertex u has F ^ 1 << u; the r isolated vertices
+    p..p+r-1 have 0. The complement's rows, with A = 2^(p+r) - 1 and
+    I = A ^ F: I | (7 << 3(u // 3)) ^ 1 << u, I | 1 << (2a + 1 - u), I,
+    and A ^ 1 << v for each isolate v.
     """
-    x, y = params.x, params.y
-    rows = _clique_rows(params.p, params.r)
-    for a in range(0, 3 * x, 3):
-        triangle = 7 << a
-        for u in (a, a + 1, a + 2):
-            rows[u] &= ~triangle
-    for a in range(3 * x, 3 * x + 2 * y, 2):
-        rows[a] ^= 1 << (a + 1)
-        rows[a + 1] ^= 1 << a
-    return Graph(params.order, tuple(rows))
+    return Graph(params.order, _q_rows(params, False))
 
 
 def _min_clique_order(m: int) -> int:
@@ -152,15 +207,20 @@ def _check_pair(n: int, m: int) -> None:
     _check_order(n)
 
 
+def _uep_params(n: int, m: int) -> HParams:
+    """uep_witness's H parameters; checks (n, m) first."""
+    _check_pair(n, m)
+    p = _min_clique_order(m)
+    return HParams(p, p * (p - 1) // 2 - m, n - p)
+
+
 def uep_witness(n: int, m: int) -> Graph:
     """The H-graph on (n, m) reached by clique-peeling edge deletion.
 
     Take the least p with C(p,2) >= m; the witness is H(p, C(p,2)-m, n-p).
     Minimality of p forces q <= p-2, so the parameters are always valid.
     """
-    _check_pair(n, m)
-    p = _min_clique_order(m)
-    return h_graph(HParams(p, p * (p - 1) // 2 - m, n - p))
+    return h_graph(_uep_params(n, m))
 
 
 def k3k2_decompose(n: int, t: int) -> tuple[int, int]:
@@ -177,17 +237,22 @@ def k3k2_decompose(n: int, t: int) -> tuple[int, int]:
     return x, t - 3 * x
 
 
+def _k3k2_params(n: int, m: int) -> QParams:
+    """k3k2_witness's Q parameters; checks (n, m) first."""
+    _check_pair(n, m)
+    p = _min_clique_order(m)
+    t = p * (p - 1) // 2 - m
+    x, y = k3k2_decompose(p, t) if t else (0, 0)
+    return QParams(p, n - p, x, y)
+
+
 def k3k2_witness(n: int, m: int) -> Graph:
     """The Q-graph on (n, m) from triangle-and-edge deletion.
 
     Take the least p with C(p,2) >= m and t = C(p,2) - m; minimality gives
     t <= p-2, so t splits as 3x + y disjoint inside K_p.
     """
-    _check_pair(n, m)
-    p = _min_clique_order(m)
-    t = p * (p - 1) // 2 - m
-    x, y = k3k2_decompose(p, t) if t else (0, 0)
-    return q_graph(QParams(p, n - p, x, y))
+    return q_graph(_k3k2_params(n, m))
 
 
 def split_pack_witness(n: int, m: int) -> Graph:
@@ -211,7 +276,7 @@ def split_pack_witness(n: int, m: int) -> Graph:
         if base <= m <= base + (n - p - 2):
             x, y = k3k2_decompose(n - p, m - base)
             # the packing xK_3 + yK_2 is what Q(n-p, 0, x, y) deletes
-            return join(complete_graph(p), complement(q_graph(QParams(n - p, 0, x, y))))
+            return join(complete_graph(p), Graph(n - p, _q_rows(QParams(n - p, 0, x, y), True)))
     raise RangeError(f"no clique part covers m={m} at n={n}")
 
 
@@ -222,4 +287,4 @@ def matching_witness(n: int, m: int) -> Graph:
     if not 0 <= m <= n // 2:
         raise RangeError(f"matching size {m} out of range [0, {n // 2}]")
     # the m edges are what Q(n, 0, 0, m) deletes from K_n
-    return complement(q_graph(QParams(n, 0, 0, m)))
+    return Graph(n, _q_rows(QParams(n, 0, 0, m), True))

@@ -22,6 +22,9 @@ from .errors import CapacityError, ValidationError
 
 MAX_ORDER = 64
 
+# _BITS[v] is vertex v's bit, for every order the package builds
+_BITS = tuple([1 << v for v in range(MAX_ORDER)])
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -159,16 +162,11 @@ def _relabel(rows, vs) -> tuple[int, ...]:
 
 # Named building blocks used throughout the constructions and the CLI catalog.
 
-def _clique_rows(p: int, r: int) -> list[int]:
-    """Rows of K_p followed by r isolated vertices: row u < p has every
-    bit below p but its own. Checks the order p + r."""
-    _check_order(p + r)
-    full = (1 << p) - 1
-    return [full ^ 1 << u for u in range(p)] + [0] * r
-
-
 def complete_graph(k: int) -> Graph:
-    return Graph(k, tuple(_clique_rows(k, 0)))
+    """K_k: row u has every bit below k but its own. Checks the order k."""
+    _check_order(k)
+    full = (1 << k) - 1
+    return Graph(k, tuple([full ^ 1 << u for u in range(k)]))
 
 
 def empty_graph(k: int) -> Graph:

@@ -66,15 +66,11 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import or_
 
-from .graphs import MAX_ORDER, Graph, _relabel
+from .graphs import _BITS, MAX_ORDER, Graph, _relabel
 
 # patterns kept by the per-pattern caches; a sweep checks one pattern
 # after another, so the live one stays
 _PATTERN_CACHE = 256
-
-# _BITS[v] is vertex v's bit, for every order the package builds
-_BITS = tuple([1 << v for v in range(MAX_ORDER)])
-
 
 def _bits(n: int) -> tuple[int, ...]:
     """The bits of vertices 0..n-1 and maybe more, to zip with n rows;

@@ -32,7 +32,9 @@ from indfree import (
     uep_witness,
     witness,
 )
-from indfree.constructions import _min_clique_order
+from indfree.classifier import Construction
+from indfree.constructions import _h_rows, _min_clique_order, _q_rows
+from indfree.graphs import _co_rows
 from oracles import reference_h_graph, reference_q_graph, reference_s_graph
 
 
@@ -379,3 +381,92 @@ def test_witness_digest_pinned(spec):
     assert {c.construction.value for c in certs} == {tag}
     text = "\n".join(encode_graph6(c.graph) for c in certs)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the newline-joined graph6 of witness(G, n, m) for every n in
+# 21..64 and every 7th m from 0, one pattern per construction, recorded
+# before the hosts were built from row formulas
+WITNESS_DIGESTS_LARGE = {
+    "claw": ("UEP", "325cf43b3425176b4734f1bc23ec7fa44ee3ac21ac631f3deeb21500984ee6a3"),
+    "paw": ("K3K2", "f7a635b86037121436c4bc932e50a1f43375936393116577bb51a676f64bbad2"),
+    "H:4,0,1": ("UEP_COMPLEMENT", "4dc509eb628c28a3cb9d2c42811b00ababac8b8dc15c7753c698e7c7a68a8234"),
+    "H:3,1,1": ("K3K2_COMPLEMENT", "b6173d0047f2411305804eb8fe54c6b7b849b0d8c8fdd4046d510b2b779723ea"),
+}
+
+
+@pytest.mark.parametrize("spec", WITNESS_DIGESTS_LARGE)
+def test_witness_digest_pinned_to_the_cap(spec):
+    tag, digest = WITNESS_DIGESTS_LARGE[spec]
+    g = parse_graph(spec)
+    certs = [witness(g, n, m) for n in range(21, 65) for m in range(0, binom2(n) + 1, 7)]
+    assert {c.construction.value for c in certs} == {tag}
+    text = "\n".join(encode_graph6(c.graph) for c in certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the same digests for the two-family builders over every valid (n, m)
+# with n <= 20, recorded with WITNESS_DIGESTS_LARGE
+def test_split_pack_witness_digest_pinned():
+    graphs = [split_pack_witness(n, m) for n in range(3, 21) for m in range(binom2(n) + 1)]
+    text = "\n".join(encode_graph6(g) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "764e19e90e9e73164f63f29e35b492c501c0dc98ced7701d4fb9bdaf8f5e2f45"
+    )
+
+
+def test_matching_witness_digest_pinned():
+    graphs = [matching_witness(n, m) for n in range(21) for m in range(n // 2 + 1)]
+    text = "\n".join(encode_graph6(g) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "52b449afb50d8bb500ed0c577f81c8244b714045b484af7d6abc0b0d2c711f81"
+    )
+
+
+# the complement row formulas against flipping the plain rows
+
+CAP_PARAMS = [HParams(62, 60, 2), QParams(64, 0, 20, 2), QParams(40, 24, 4, 5)]
+
+
+def small_params():
+    for p in range(13):
+        for r in range(13 - p):
+            for q in range(max(p - 1, 0) + 1):
+                yield HParams(p, q, r)
+            for x in range(p // 3 + 1):
+                for y in range((p - 3 * x) // 2 + 1):
+                    yield QParams(p, r, x, y)
+
+
+@pytest.mark.parametrize("family", [HParams, QParams])
+def test_complement_rows_flip_the_plain_rows(family):
+    build = _h_rows if family is HParams else _q_rows
+    drawn = [params for params in [*small_params(), *CAP_PARAMS] if type(params) is family]
+    assert drawn
+    for params in drawn:
+        assert build(params, True) == _co_rows(build(params, False)), params
+
+
+# the construction parameters on the certificate rebuild its graph; the
+# patterns are those of the witness workloads in perfbench/workloads.py
+WITNESS_PATTERNS = [
+    *("claw", "path:4", "cycle:4", "path:5", "cycle:5", "5;0-1,0-2,1-2,1-3,2-4", "EFz_"),
+    *("paw", "H:4,2,1", "H:5,2,0", "H:5,3,1"),
+    *("H:3,0,1", "H:4,0,1", "H:3,0,2", "H:4,1,1", "H:5,1,1"),
+    *("H:3,1,1", "H:3,1,2", "H:3,1,3"),
+]
+
+COMPLEMENTED = {Construction.UEP_COMPLEMENT, Construction.K3K2_COMPLEMENT}
+
+
+@pytest.mark.parametrize("spec", WITNESS_PATTERNS)
+def test_certificate_params_rebuild_the_witness(spec):
+    g = parse_graph(spec)
+    for n in range(21):
+        for m in range(binom2(n) + 1):
+            cert = witness(g, n, m)
+            uep = cert.construction in (Construction.UEP, Construction.UEP_COMPLEMENT)
+            assert type(cert.params) is (HParams if uep else QParams), (n, m)
+            host = (h_graph if uep else q_graph)(cert.params)
+            if cert.construction in COMPLEMENTED:
+                host = complement(host)
+            assert host == cert.graph, (spec, n, m)
